@@ -8,6 +8,13 @@ issues the off-chip request.  We track sharers exactly; coherence
 invalidation traffic for writes is not modeled (the evaluated kernels
 are read-dominated data-parallel loops, and both the baseline and the
 optimized runs omit it identically).
+
+Each tracked line maps to an int bitmask of its sharers (bit ``n`` set
+= node ``n`` holds the line), so an update is one dict store and no set
+is ever allocated on the miss path.  The fast event loop
+(:mod:`repro.sim.fastpath`) updates :attr:`Directory._sharers` inline
+with exactly the operations of :meth:`add_sharer` /
+:meth:`remove_sharer` / :meth:`find_sharer`.
 """
 
 from __future__ import annotations
@@ -16,10 +23,10 @@ from typing import Dict, Optional, Set
 
 
 class Directory:
-    """Exact sharer tracking: line address -> set of L2 node ids."""
+    """Exact sharer tracking: line address -> bitmask of L2 node ids."""
 
     def __init__(self) -> None:
-        self._sharers: Dict[int, Set[int]] = {}
+        self._sharers: Dict[int, int] = {}
 
     def find_sharer(self, line_addr: int, requester: int) -> Optional[int]:
         """Some node other than the requester holding the line, if any.
@@ -27,26 +34,33 @@ class Directory:
         Returns the lowest node id (deterministic); the simulator then
         charges the forward + cache-to-cache transfer over the NoC.
         """
-        sharers = self._sharers.get(line_addr)
-        if not sharers:
-            return None
-        others = sharers - {requester}
+        others = self._sharers.get(line_addr, 0) & ~(1 << requester)
         if not others:
             return None
-        return min(others)
+        return (others & -others).bit_length() - 1
 
     def add_sharer(self, line_addr: int, node: int) -> None:
-        self._sharers.setdefault(line_addr, set()).add(node)
+        sharers = self._sharers
+        sharers[line_addr] = sharers.get(line_addr, 0) | (1 << node)
 
     def remove_sharer(self, line_addr: int, node: int) -> None:
-        sharers = self._sharers.get(line_addr)
-        if sharers is not None:
-            sharers.discard(node)
-            if not sharers:
-                del self._sharers[line_addr]
+        sharers = self._sharers
+        mask = sharers.get(line_addr)
+        if mask is not None:
+            mask &= ~(1 << node)
+            if mask:
+                sharers[line_addr] = mask
+            else:
+                del sharers[line_addr]
 
     def sharers_of(self, line_addr: int) -> Set[int]:
-        return set(self._sharers.get(line_addr, ()))
+        mask = self._sharers.get(line_addr, 0)
+        nodes = set()
+        while mask:
+            low = mask & -mask
+            nodes.add(low.bit_length() - 1)
+            mask ^= low
+        return nodes
 
     @property
     def tracked_lines(self) -> int:

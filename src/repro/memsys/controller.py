@@ -117,33 +117,6 @@ class MemoryController:
             self._tel_row_hits = telemetry.counter(
                 f"mc.{mc_index}.row_hits")
 
-    def _is_row_hit(self, bank: int, row: int, now: float) -> bool:
-        """Open-row hit, or a row still inside the FR-FCFS batching
-        window (see the module docstring)."""
-        rows = self._recent_rows[bank]
-        times = self._recent_times[bank]
-        horizon = now - self.config.frfcfs_window_cycles
-        try:
-            idx = rows.index(row)
-        except ValueError:
-            return False
-        return times[idx] >= horizon or idx == len(rows) - 1
-
-    def _touch_row(self, bank: int, row: int, when: float) -> None:
-        rows = self._recent_rows[bank]
-        times = self._recent_times[bank]
-        try:
-            idx = rows.index(row)
-            del rows[idx]
-            del times[idx]
-        except ValueError:
-            pass
-        rows.append(row)
-        times.append(when)
-        if len(rows) > self.config.frfcfs_window_rows:
-            del rows[0]
-            del times[0]
-
     def service(self, bank: int, row: int, arrival: float
                 ) -> Tuple[float, float, bool]:
         """Serve one request; returns ``(finish, queue_wait, row_hit)``.
@@ -186,16 +159,34 @@ class MemoryController:
             # infinite window would poison every downstream timestamp.
             factor = faults.slowdown(self.mc_index, arrival)
 
+        config = self.config
         start = max(arrival, self.bank_busy[bank], self.channel_free)
-        hit = self._is_row_hit(bank, row, start)
-        latency = (self.config.row_hit_cycles if hit
-                   else self.config.row_miss_cycles) * factor
+        # FR-FCFS (see the module docstring): a hit is the open row or a
+        # row still inside the batching window.  One scan of the bank's
+        # recent-row list serves both the hit test and the row touch.
+        rows = self._recent_rows[bank]
+        times = self._recent_times[bank]
+        try:
+            idx = rows.index(row)
+        except ValueError:
+            hit = False
+        else:
+            hit = (times[idx] >= start - config.frfcfs_window_cycles
+                   or idx == len(rows) - 1)
+            del rows[idx]
+            del times[idx]
+        latency = (config.row_hit_cycles if hit
+                   else config.row_miss_cycles) * factor
         finish = start + latency
         self.bank_busy[bank] = finish
         # The channel carries one burst per request; banks overlap their
         # internal latencies but transfers serialize.
-        self.channel_free = start + self.config.channel_cycles * factor
-        self._touch_row(bank, row, finish)
+        self.channel_free = start + config.channel_cycles * factor
+        rows.append(row)
+        times.append(finish)
+        if len(rows) > config.frfcfs_window_rows:
+            del rows[0]
+            del times[0]
 
         wait = start - arrival
         stats.row_hits += int(hit)

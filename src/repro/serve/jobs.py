@@ -378,11 +378,7 @@ class JobRegistry:
             job.progress_total = 1
             result = self._bounded_run(request.to_spec(), job)
             job.progress_done = 1
-            # A store replay carries metrics only -- no transformation
-            # artifact -- which is exactly the "zero simulation work"
-            # signature the response reports.
-            hit = (request.store is not None
-                   and result.transformation is None)
+            hit = result.store_hit
             self.inc("serve.store_hits" if hit else "serve.store_misses")
             return {"kind": "run", "key": job.key,
                     "metrics": metrics_to_doc(result.metrics),
@@ -395,8 +391,7 @@ class JobRegistry:
             sides = []
             for spec in (base_spec, opt_spec):
                 result = self._bounded_run(spec, job)
-                hits += int(request.store is not None
-                            and result.transformation is None)
+                hits += int(result.store_hit)
                 sides.append(result)
                 job.progress_done += 1
             comparison = Comparison(sides[0].metrics, sides[1].metrics)

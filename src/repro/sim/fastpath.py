@@ -31,23 +31,41 @@ This module exploits that:
    asserts across mappings, interleavings, fault plans, and validation/
    observability levels.
 
-Network sends are inlined (route table + busy-until link updates on the
-:class:`~repro.noc.network.Network`'s own state) when no fault model,
-audit, or telemetry is attached; otherwise the regular ``send`` method
-runs so detours, audits and telemetry stay bit-identical too.
+One L2 miss is one pass through a single loop body with no helper
+calls in the common case.  Three layers are inlined at their sites,
+each over the owning object's own state:
+
+* the four NoC sends (a flat ``src * n + dst`` route table plus the
+  :class:`~repro.noc.network.Network`'s busy-until links), unless a
+  fault model, audit or telemetry is attached;
+* the plain memory-controller service (busy-until bank and channel,
+  the FR-FCFS row window), unless the run has controller faults, the
+  optimal scheme or telemetry;
+* the directory lookup and sharer updates, on the
+  :class:`~repro.cache.directory.Directory`'s line -> sharer-bitmask
+  dict (always).
+
+Flags computed once per run choose, at each site, between the inlined
+code and the regular ``Network.send`` / ``MemoryController.service`` /
+``SystemSimulator._route_mc`` calls, so detours, failovers, audits,
+telemetry and the optimal scheme stay bit-identical too.  Counters and
+per-controller float sums accumulate in locals and are written back
+once at the end; each float sum still sees its operands in the
+reference loop's order.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from operator import itemgetter
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.sim.metrics import RunMetrics
-
 from repro.cache.cache import set_indices as _set_indices_bulk
+from repro.obs.tracer import obs_span
+from repro.sim.metrics import RunMetrics
 
 
 def eligible(sim, streams: Sequence) -> bool:
@@ -110,22 +128,37 @@ def _set_indices(lines: List[int], arr: Optional[np.ndarray],
     return _set_indices_bulk(lines, num_sets, arr=arr)
 
 
-class _ThreadRecord:
-    """One thread's replayed miss schedule."""
 
-    __slots__ = ("stream", "pos", "line2s", "evicted", "nmiss", "k",
-                 "deltas", "tail", "cls")
+
+class _ThreadRecord:
+    """One thread's replayed miss schedule.
+
+    After :func:`_replay_thread`, ``pos``/``line2s``/``evicted`` hold
+    each miss's stream index, L2 line and evicted line;
+    :func:`_gather_misses` then copies the miss's ``gaps``/``mcs``/
+    ``banks``/``rows`` out of the stream, so the miss loop indexes
+    everything by the miss ordinal ``k``.
+    """
+
+    __slots__ = ("stream", "node", "bit", "pos", "line2s", "evicted",
+                 "nmiss", "deltas", "tail", "cls", "gaps", "mcs", "banks",
+                 "rows")
 
     def __init__(self, stream):
         self.stream = stream
+        self.node = stream.node
+        self.bit = 1 << stream.node  # the node's directory mask bit
         self.pos: List[int] = []
         self.line2s: List[int] = []
         self.evicted: List[Optional[int]] = []
         self.nmiss = 0
-        self.k = 0
         self.deltas: Optional[List[int]] = None  # exact mode only
         self.tail = 0
         self.cls: Optional[bytearray] = None     # general mode only
+        self.gaps: Sequence[int] = ()
+        self.mcs: Sequence[int] = ()
+        self.banks: Sequence[int] = ()
+        self.rows: Sequence[int] = ()
 
 
 def _replay_thread(sim, stream, m: RunMetrics) -> _ThreadRecord:
@@ -191,6 +224,28 @@ def _replay_thread(sim, stream, m: RunMetrics) -> _ThreadRecord:
     return rec
 
 
+def _gather_misses(rec: _ThreadRecord, mc_of_miss: Optional[int]) -> None:
+    """Copy each miss's per-access fields out of the stream, in miss
+    order (``mc_of_miss`` overrides every miss's controller: the
+    optimal scheme's nearest MC)."""
+    stream = rec.stream
+    pos = rec.pos
+    if rec.nmiss == 1:
+        i = pos[0]
+        rec.gaps = (stream.gaps[i],)
+        rec.mcs = (stream.mcs[i],)
+        rec.banks = (stream.banks[i],)
+        rec.rows = (stream.rows[i],)
+    else:
+        pick = itemgetter(*pos)
+        rec.gaps = pick(stream.gaps)
+        rec.mcs = pick(stream.mcs)
+        rec.banks = pick(stream.banks)
+        rec.rows = pick(stream.rows)
+    if mc_of_miss is not None:
+        rec.mcs = (mc_of_miss,) * rec.nmiss
+
+
 def _advance(t: float, gaps: List[int], cls: bytearray, lo: int, hi: int,
              l1_latency, l2_latency, keep: float) -> float:
     """General-mode timing: replicate the reference loop's per-access
@@ -207,21 +262,20 @@ def _advance(t: float, gaps: List[int], cls: bytearray, lo: int, hi: int,
     return t
 
 
-def run_events(sim, streams: Sequence, m: RunMetrics) -> List[float]:
-    """Replay all threads, then simulate only the misses on the heap.
+def _replay_all(sim, streams: Sequence, m: RunMetrics, exact: bool,
+                finish_times: List[float]):
+    """Replay every thread and schedule its first miss.
 
-    Mutates the simulator's caches, directory, network and controllers
-    exactly as the reference loop would; returns per-thread finish
-    times.  Callers must have checked :func:`eligible` first.
+    Returns ``(recs, heap)``: per-thread records (``None`` for empty
+    streams) and the initial ``(time, tid, k)`` heap.  Threads with no
+    miss get their finish time written into ``finish_times`` directly.
     """
     config = sim.config
     l1_latency = config.l1_latency
     l2_latency = config.l2_latency
-    exact = _integer_times(sim)
     keep = sim._keep
     stagger = config.thread_stagger
-
-    finish_times = [0.0] * len(streams)
+    nearest = sim._nearest_mc if sim.optimal else None
     recs: List[Optional[_ThreadRecord]] = [None] * len(streams)
     heap = []
     for tid, stream in enumerate(streams):
@@ -232,6 +286,9 @@ def run_events(sim, streams: Sequence, m: RunMetrics) -> List[float]:
         t0 = float(tid * stagger)
         cls = rec.cls
         n = stream.length
+        if rec.nmiss:
+            _gather_misses(rec, None if nearest is None
+                           else nearest[stream.node])
         if exact:
             gaps_arr = stream.np_gaps
             if gaps_arr is None:
@@ -244,151 +301,216 @@ def run_events(sim, streams: Sequence, m: RunMetrics) -> List[float]:
                 marks = cum[rec.pos]
                 rec.deltas = np.diff(marks).tolist()
                 rec.tail = int(cum[-1] - marks[-1])
-                heap.append((t0 + int(marks[0]), tid))
+                heap.append((t0 + int(marks[0]), tid, 0))
             else:
                 finish_times[tid] = t0 + int(cum[-1])
-            rec.cls = None  # timing fully folded into deltas
+            # timing fully folded into deltas; the stream indices are
+            # only needed by the general mode's _advance
+            rec.cls = None
+            rec.pos = None
         else:
             gaps = stream.gaps
             if rec.nmiss:
                 heap.append((_advance(t0, gaps, cls, 0, rec.pos[0],
-                                      l1_latency, l2_latency, keep), tid))
+                                      l1_latency, l2_latency, keep),
+                             tid, 0))
             else:
                 finish_times[tid] = _advance(t0, gaps, cls, 0, n,
                                              l1_latency, l2_latency, keep)
     heapq.heapify(heap)
-    if not heap:
-        return finish_times
+    return recs, heap
 
-    # -- locals for the miss loop --------------------------------------
-    directory = sim.directory
-    find_sharer = directory.find_sharer
-    add_sharer = directory.add_sharer
-    remove_sharer = directory.remove_sharer
-    controllers = sim.controllers
-    mc_nodes = sim.mc_nodes
-    nearest = sim._nearest_mc
-    optimal = sim.optimal
-    mc_faults = sim._mc_faults
-    route_mc = sim._route_mc
+
+def run_events(sim, streams: Sequence, m: RunMetrics) -> List[float]:
+    """Replay all threads, then simulate only the misses on the heap.
+
+    Mutates the simulator's caches, directory, network and controllers
+    exactly as the reference loop would; returns per-thread finish
+    times.  Callers must have checked :func:`eligible` first.
+    """
+    exact = _integer_times(sim)
+    finish_times = [0.0] * len(streams)
+    with obs_span("sim.replay", cat="sim", threads=len(streams)):
+        recs, heap = _replay_all(sim, streams, m, exact, finish_times)
+    if heap:
+        with obs_span("sim.misses", cat="sim") as span:
+            span.add(misses=_miss_loop(sim, recs, heap, m, finish_times))
+    return finish_times
+
+
+def _miss_loop(sim, recs: List[Optional[_ThreadRecord]], heap: list,
+               m: RunMetrics, finish_times: List[float]) -> int:
+    """Simulate the miss-only heap to completion; returns the number
+    of misses processed.
+
+    The loop body is the reference ``_step_private`` from the L2-miss
+    branch on, operation for operation (the accumulator op order
+    matters for float bit-identity), with the sends, the plain MC
+    service and the directory inlined (see the module docstring).
+    """
+    config = sim.config
+    l1_latency = config.l1_latency
+    l2_latency = config.l2_latency
+    keep = sim._keep
     control_flits = config.control_flits
     data_flits = config.data_flits
     # Imported here (not at module top) to avoid a circular import:
     # repro.sim.system pulls this module in lazily from run().
     from repro.sim.system import DIRECTORY_LATENCY
 
+    mc_nodes = sim.mc_nodes
+    mc_faults = sim._mc_faults
+    route_mc = sim._route_mc
+    controllers = sim.controllers
+    num_mcs = len(controllers)
+    num_nodes = config.num_cores
+    sharers = sim.directory._sharers
+    sharers_get = sharers.get
+
+    # -- network: inlined sends, or Network.send ----------------------
     net = sim.network
-    inline = (net.faults is None and net.audit is None
-              and net._telemetry is None)
-    if inline:
-        # Inlined Network.send over the network's own route table and
-        # busy-until state: same operations in the same order, minus
-        # the per-message attribute lookups and fault/audit/telemetry
-        # branches (all statically absent here).
-        routes = net._routes
-        mesh_route = net.mesh.route
-        lf_control = net.link_free[net.VNET_CONTROL]
-        lf_data = net.link_free[net.VNET_DATA]
-        stats = net.stats
-        messages = stats.messages
-        total_hops = stats.total_hops
-        flit_hops = stats.flit_hops
-        wait_cycles = stats.wait_cycles
-        hop_latency = config.hop_latency
-        tail_control = min(control_flits, config.critical_word_flits)
-        tail_data = min(data_flits, config.critical_word_flits)
+    net_stats = net.stats
+    inline_net = (net.faults is None and net.audit is None
+                  and net._telemetry is None)
+    net_send = net.send
+    routes = net._routes
+    mesh_route = net.mesh.route
+    flat_routes: List[Optional[List[int]]] = [None] * (num_nodes
+                                                       * num_nodes)
 
-        def send_control(src, dst, depart):
-            nonlocal messages, total_hops, flit_hops, wait_cycles
-            messages += 1
-            if src == dst:
-                return depart, 0
-            t = depart
-            links = routes.get((src, dst))
-            if links is None:
-                links = routes[(src, dst)] = mesh_route(src, dst)
-            for link in links:
-                free_at = lf_control[link]
-                if free_at > t:
-                    wait_cycles += free_at - t
-                    t = free_at
-                lf_control[link] = t + control_flits
-                t += hop_latency
-            hops = len(links)
-            total_hops += hops
-            flit_hops += hops * control_flits
-            return t + tail_control, hops
+    def route(src, dst):
+        # First use of a (src, dst) pair this run: fill the network's
+        # route memo as Network.route would, and the flat table.
+        links = routes.get((src, dst))
+        if links is None:
+            links = routes[(src, dst)] = mesh_route(src, dst)
+        flat_routes[src * num_nodes + dst] = links
+        return links
 
-        def send_data(src, dst, depart):
-            nonlocal messages, total_hops, flit_hops, wait_cycles
-            messages += 1
-            if src == dst:
-                return depart, 0
-            t = depart
-            links = routes.get((src, dst))
-            if links is None:
-                links = routes[(src, dst)] = mesh_route(src, dst)
-            for link in links:
-                free_at = lf_data[link]
-                if free_at > t:
-                    wait_cycles += free_at - t
-                    t = free_at
-                lf_data[link] = t + data_flits
-                t += hop_latency
-            hops = len(links)
-            total_hops += hops
-            flit_hops += hops * data_flits
-            return t + tail_data, hops
-    else:
-        net_send = net.send
+    lf_control = net.link_free[net.VNET_CONTROL]
+    lf_data = net.link_free[net.VNET_DATA]
+    hop_latency = config.hop_latency
+    tail_control = min(control_flits, config.critical_word_flits)
+    tail_data = min(data_flits, config.critical_word_flits)
+    wait_cycles = net_stats.wait_cycles
+    control_hops = data_hops = 0
 
-        def send_control(src, dst, depart):
-            return net_send(src, dst, control_flits, depart, vnet=0)
-
-        def send_data(src, dst, depart):
-            return net_send(src, dst, data_flits, depart)
+    # -- controllers: inlined plain service, or MemoryController.service
+    inline_mc = (mc_faults is None and not sim.optimal
+                 and all(c._ts_wait is None for c in controllers))
+    bank_busy = [c.bank_busy for c in controllers]
+    recent_rows = [c._recent_rows for c in controllers]
+    recent_times = [c._recent_times for c in controllers]
+    channel_free = [c.channel_free for c in controllers]
+    mc_first = [c.stats.first_arrival for c in controllers]
+    mc_last = [c.stats.last_finish for c in controllers]
+    mc_row_hits = [0] * num_mcs
+    mc_wait = [c.stats.queue_wait_total for c in controllers]
+    mc_busy = [c.stats.busy_total for c in controllers]
+    # service() scales by a fault factor of 1.0: same float results
+    row_hit_latency = config.row_hit_cycles * 1.0
+    row_miss_latency = config.row_miss_cycles * 1.0
+    channel_latency = config.channel_cycles * 1.0
+    window_cycles = config.frfcfs_window_cycles
+    window_rows = config.frfcfs_window_rows
+    # mc_node_requests[mc, node], flattened; also each controller's
+    # request count when the service is inlined
+    node_requests = [0] * (num_mcs * num_nodes)
 
     onchip_hops = m.onchip_hops
     offchip_hops = m.offchip_hops
-    mc_node_requests = m.mc_node_requests
     onchip_net_sum = m.onchip_net_sum
     offchip_net_sum = m.offchip_net_sum
     offchip_mem_sum = m.offchip_mem_sum
     offchip_queue_sum = m.offchip_queue_sum
-    onchip_remote = m.onchip_remote
-    offchip = m.offchip
+    onchip_remote = onchip_start = m.onchip_remote
+    offchip = offchip_start = m.offchip
     heappop = heapq.heappop
     heappush = heapq.heappush
 
-    # -- the miss-only event loop --------------------------------------
-    # Each handler is the reference _step_private from the L2-miss
-    # branch on, operation for operation (the accumulator op order
-    # matters for float bit-identity).
     while heap:
-        t0, tid = heappop(heap)
+        t0, tid, k = heappop(heap)
         rec = recs[tid]
-        stream = rec.stream
-        k = rec.k
-        i = rec.pos[k]
-        node = stream.node
-        t = t0 + stream.gaps[i]
+        node = rec.node
+        t = t0 + rec.gaps[k]
         t += l1_latency
         issue = t - l1_latency
         t += l2_latency
         line2 = rec.line2s[k]
 
-        mc = nearest[node] if optimal else stream.mcs[i]
+        mc = rec.mcs[k]
         if mc_faults is not None:
             mc = route_mc(mc, t, m)
         mc_node = mc_nodes[mc]
-        t1, h1 = send_control(node, mc_node, t)
+        # path 1: request to the directory at the MC
+        if not inline_net:
+            t1, h1 = net_send(node, mc_node, control_flits, t, vnet=0)
+        elif node == mc_node:
+            t1 = t
+            h1 = 0
+        else:
+            links = flat_routes[node * num_nodes + mc_node]
+            if links is None:
+                links = route(node, mc_node)
+            t1 = t
+            for link in links:
+                free_at = lf_control[link]
+                if free_at > t1:
+                    wait_cycles += free_at - t1
+                    t1 = free_at
+                lf_control[link] = t1 + control_flits
+                t1 += hop_latency
+            h1 = len(links)
+            control_hops += h1
+            t1 += tail_control
         t1 += DIRECTORY_LATENCY
 
-        owner = find_sharer(line2, node)
-        if owner is not None:
-            t2, h2 = send_control(mc_node, owner, t1)
+        # directory: lowest-id sharer other than the requester
+        mask = sharers_get(line2, 0)
+        others = mask & ~rec.bit
+        if others:
+            owner = (others & -others).bit_length() - 1
+            # path 2: forward to the owner
+            if not inline_net:
+                t2, h2 = net_send(mc_node, owner, control_flits, t1,
+                                  vnet=0)
+            elif mc_node == owner:
+                t2 = t1
+                h2 = 0
+            else:
+                links = flat_routes[mc_node * num_nodes + owner]
+                if links is None:
+                    links = route(mc_node, owner)
+                t2 = t1
+                for link in links:
+                    free_at = lf_control[link]
+                    if free_at > t2:
+                        wait_cycles += free_at - t2
+                        t2 = free_at
+                    lf_control[link] = t2 + control_flits
+                    t2 += hop_latency
+                h2 = len(links)
+                control_hops += h2
+                t2 += tail_control
             t2 += l2_latency
-            t3, h3 = send_data(owner, node, t2)
+            # path 3: cache-to-cache transfer (owner != node)
+            if not inline_net:
+                t3, h3 = net_send(owner, node, data_flits, t2)
+            else:
+                links = flat_routes[owner * num_nodes + node]
+                if links is None:
+                    links = route(owner, node)
+                t3 = t2
+                for link in links:
+                    free_at = lf_data[link]
+                    if free_at > t3:
+                        wait_cycles += free_at - t3
+                        t3 = free_at
+                    lf_data[link] = t3 + data_flits
+                    t3 += hop_latency
+                h3 = len(links)
+                data_hops += h3
+                t3 += tail_data
             onchip_remote += 1
             net_cycles = (t1 - DIRECTORY_LATENCY - t) \
                 + (t2 - l2_latency - t1) + (t3 - t2)
@@ -396,52 +518,148 @@ def run_events(sim, streams: Sequence, m: RunMetrics) -> List[float]:
             onchip_hops[h1 + h2 + h3] += 1
             finish = t3
         else:
-            finish_mc, wait, _ = controllers[mc].service(
-                stream.banks[i], stream.rows[i], t1)
-            t3, h3 = send_data(mc_node, node, finish_mc)
+            # path 2: off-chip at the MC (MemoryController.service)
+            if not inline_mc:
+                finish_mc, wait, _ = controllers[mc].service(
+                    rec.banks[k], rec.rows[k], t1)
+            else:
+                if t1 < mc_first[mc]:
+                    mc_first[mc] = t1
+                bank = rec.banks[k]
+                busy = bank_busy[mc]
+                start = t1
+                if busy[bank] > start:
+                    start = busy[bank]
+                if channel_free[mc] > start:
+                    start = channel_free[mc]
+                row = rec.rows[k]
+                rows = recent_rows[mc][bank]
+                times = recent_times[mc][bank]
+                try:
+                    idx = rows.index(row)
+                except ValueError:
+                    latency = row_miss_latency
+                else:
+                    if times[idx] >= start - window_cycles \
+                            or idx == len(rows) - 1:
+                        latency = row_hit_latency
+                        mc_row_hits[mc] += 1
+                    else:
+                        latency = row_miss_latency
+                    del rows[idx]
+                    del times[idx]
+                finish_mc = start + latency
+                busy[bank] = finish_mc
+                channel_free[mc] = start + channel_latency
+                rows.append(row)
+                times.append(finish_mc)
+                if len(rows) > window_rows:
+                    del rows[0]
+                    del times[0]
+                wait = start - t1
+                mc_wait[mc] += wait
+                mc_busy[mc] += latency
+                if finish_mc > mc_last[mc]:
+                    mc_last[mc] = finish_mc
+            # path 3: response to the requester
+            if not inline_net:
+                t3, h3 = net_send(mc_node, node, data_flits, finish_mc)
+            elif mc_node == node:
+                t3 = finish_mc
+                h3 = 0
+            else:
+                links = flat_routes[mc_node * num_nodes + node]
+                if links is None:
+                    links = route(mc_node, node)
+                t3 = finish_mc
+                for link in links:
+                    free_at = lf_data[link]
+                    if free_at > t3:
+                        wait_cycles += free_at - t3
+                        t3 = free_at
+                    lf_data[link] = t3 + data_flits
+                    t3 += hop_latency
+                h3 = len(links)
+                data_hops += h3
+                t3 += tail_data
             offchip += 1
             offchip_net_sum += (t1 - DIRECTORY_LATENCY - t) \
                 + (t3 - finish_mc)
             offchip_mem_sum += finish_mc - t1
             offchip_queue_sum += wait
             offchip_hops[h1 + h3] += 1
-            mc_node_requests[mc, node] += 1
+            node_requests[mc * num_nodes + node] += 1
             finish = t3
 
+        # directory: the fill's victim leaves, the requester joins
         evicted = rec.evicted[k]
         if evicted is not None:
-            remove_sharer(evicted, node)
-        add_sharer(line2, node)
+            gone = sharers_get(evicted)
+            if gone is not None:
+                gone &= ~rec.bit
+                if gone:
+                    sharers[evicted] = gone
+                else:
+                    del sharers[evicted]
+        sharers[line2] = mask | rec.bit
         ret = issue + keep * (finish - issue)
 
         k += 1
-        rec.k = k
-        if k < rec.nmiss:
-            if rec.deltas is not None:
-                heappush(heap, (ret + rec.deltas[k - 1], tid))
+        deltas = rec.deltas
+        if deltas is not None:
+            if k < rec.nmiss:
+                heappush(heap, (ret + deltas[k - 1], tid, k))
             else:
-                heappush(heap, (_advance(ret, stream.gaps, rec.cls,
-                                         i + 1, rec.pos[k],
-                                         l1_latency, l2_latency, keep),
-                                tid))
-        else:
-            if rec.deltas is not None:
                 finish_times[tid] = ret + rec.tail
+            continue
+        # General timing mode: _advance over the hits up to the next
+        # miss (or the end of the stream), inlined.
+        pos = rec.pos
+        stream = rec.stream
+        gaps = stream.gaps
+        cls = rec.cls
+        t = ret
+        for i in range(pos[k - 1] + 1,
+                       pos[k] if k < rec.nmiss else stream.length):
+            t += gaps[i]
+            if cls[i] == 0:
+                t += l1_latency
             else:
-                finish_times[tid] = _advance(ret, stream.gaps, rec.cls,
-                                             i + 1, stream.length,
-                                             l1_latency, l2_latency,
-                                             keep)
+                t += l1_latency
+                issue = t - l1_latency
+                t = issue + keep * (t + l2_latency - issue)
+        if k < rec.nmiss:
+            heappush(heap, (t, tid, k))
+        else:
+            finish_times[tid] = t
 
+    # -- write back, once --------------------------------------------
     m.onchip_net_sum = onchip_net_sum
     m.offchip_net_sum = offchip_net_sum
     m.offchip_mem_sum = offchip_mem_sum
     m.offchip_queue_sum = offchip_queue_sum
     m.onchip_remote = onchip_remote
     m.offchip = offchip
-    if inline:
-        stats.messages = messages
-        stats.total_hops = total_hops
-        stats.flit_hops = flit_hops
-        stats.wait_cycles = wait_cycles
-    return finish_times
+    m.mc_node_requests += np.asarray(
+        node_requests, dtype=np.int64).reshape(num_mcs, num_nodes)
+    onchip_n = onchip_remote - onchip_start
+    offchip_n = offchip - offchip_start
+    if inline_net:
+        # every on-chip miss sends three messages, every off-chip two
+        net_stats.messages += 3 * onchip_n + 2 * offchip_n
+        net_stats.total_hops += control_hops + data_hops
+        net_stats.flit_hops += control_hops * control_flits \
+            + data_hops * data_flits
+        net_stats.wait_cycles = wait_cycles
+    if inline_mc:
+        for j, c in enumerate(controllers):
+            stats = c.stats
+            stats.requests += sum(
+                node_requests[j * num_nodes:(j + 1) * num_nodes])
+            stats.row_hits += mc_row_hits[j]
+            stats.queue_wait_total = mc_wait[j]
+            stats.busy_total = mc_busy[j]
+            stats.first_arrival = mc_first[j]
+            stats.last_finish = mc_last[j]
+            c.channel_free = channel_free[j]
+    return onchip_n + offchip_n

@@ -225,6 +225,8 @@ class RunResult:
     # The observability bundle when spec.obs != "off" (None otherwise):
     # phase spans, telemetry registry (full level), and exporter metadata.
     obs: Optional[ObsData] = None
+    # True when the result store answered (a replay: no simulation ran).
+    store_hit: bool = False
 
 
 def _make_policy(spec: RunSpec, mapping: L2ToMCMapping,
@@ -289,6 +291,7 @@ def _store_fetch(spec: RunSpec, store, obs: Optional[ObsData]
                                      store.stats.snapshot())
     if result is not None:
         result.obs = obs
+        result.store_hit = True
     return result
 
 

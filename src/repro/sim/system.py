@@ -458,11 +458,12 @@ class SystemSimulator:
                             m: RunMetrics) -> float:
         """Write coherence: the directory invalidates every other
         sharer (parallel control messages + acks); stale L1/L2 copies
-        are dropped.  Returns the time the last ack arrives."""
+        are dropped.  Sharers are invalidated in ascending node order.
+        Returns the time the last ack arrives."""
         cfg = self.config
         latest = t
         ratio = cfg.l2_line // cfg.l1_line
-        for sharer in self.directory.sharers_of(line2):
+        for sharer in sorted(self.directory.sharers_of(line2)):
             if sharer == requester:
                 continue
             t_inv, _ = self.network.send(mc_node, sharer,

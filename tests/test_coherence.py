@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.arch.config import CACHE_LINE_INTERLEAVING, MachineConfig
+from repro.sim.metrics import RunMetrics
 from repro.sim.run import RunSpec, run_simulation
 from repro.sim.system import SystemSimulator, build_streams
 from repro.workloads import build_workload
@@ -71,6 +72,30 @@ class TestInvalidation:
         # all accesses still complete and partition into the categories
         assert m.l1_hits + m.l2_hits + m.onchip_remote + m.offchip == \
             m.total_accesses
+
+
+    def test_invalidations_go_in_ascending_node_order(self):
+        """The invalidation fan-out is ordered by node id, whatever
+        order the sharers joined in (the directory keeps a bitmask)."""
+        cfg = MachineConfig.scaled_default().with_(
+            interleaving=CACHE_LINE_INTERLEAVING, model_writes=True)
+        sim = SystemSimulator(cfg, cfg.default_mapping())
+        for node in (11, 4, 40, 0, 19):
+            sim.directory.add_sharer(7, node)
+        sent = []
+        send = sim.network.send
+
+        def record(src, dst, flits, depart, vnet=1):
+            if src == 2:
+                sent.append(dst)
+            return send(src, dst, flits, depart, vnet=vnet)
+
+        sim.network.send = record
+        m = RunMetrics()
+        sim._invalidate_sharers(7, requester=0, mc_node=2, t=0.0, m=m)
+        assert sent == [4, 11, 19, 40]
+        assert m.invalidations == 4
+        assert sim.directory.sharers_of(7) == {0}
 
 
 class TestEndToEnd:

@@ -10,6 +10,12 @@ floating-point timing mode), strict validation (audit-wrapped sends),
 full observability (telemetry-wrapped sends), and the configurations
 where the fast loop must decline and fall back to the reference
 (shared L2, write modeling, phase tracking).
+
+Where the two engines run, their end-of-run simulator *state* is
+compared too, not only the metrics: every controller's stats, bank and
+channel busy-until times and FR-FCFS row window, the directory's
+sharers for every tracked line, the network's link busy-until times
+and stats, and every cache's contents and counters.
 """
 
 import numpy as np
@@ -23,6 +29,7 @@ from repro.sim.executor import point_specs, resolve_mapping, run_point, \
 from repro.sim.run import EXACT_ENGINES, RunSpec, run_simulation
 from repro.sim.serialize import comparison_row
 from repro.sim.metrics import Comparison
+from repro.sim.system import SystemSimulator
 from repro.workloads import build_workload
 
 SCALE = 0.2
@@ -32,6 +39,33 @@ def _config(**kw):
     base = MachineConfig.scaled_default().with_(
         interleaving="cache_line")
     return base.with_(**kw) if kw else base
+
+
+@pytest.fixture
+def simulators(monkeypatch):
+    """Every SystemSimulator that runs during the test, in run order."""
+    sims = []
+    original = SystemSimulator.run
+
+    def run(self, *args, **kwargs):
+        sims.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SystemSimulator, "run", run)
+    return sims
+
+
+def _run_pair(sims, program, config, **spec_kw):
+    """``(metrics, simulator)`` per exact engine, fast first."""
+    pairs = []
+    for engine in EXACT_ENGINES:
+        del sims[:]
+        spec = RunSpec(program=program, config=config, engine=engine,
+                       **spec_kw)
+        metrics = run_simulation(spec).metrics
+        (sim,) = sims
+        pairs.append((metrics, sim))
+    return pairs
 
 
 def _metrics_pair(program, config, **spec_kw):
@@ -55,39 +89,69 @@ def _assert_identical(a, b):
             assert x == y, name
 
 
+def _assert_same_state(a, b):
+    """Bit-identity of two simulators' end-of-run state."""
+    assert len(a.controllers) == len(b.controllers)
+    for j, (ca, cb) in enumerate(zip(a.controllers, b.controllers)):
+        assert vars(ca.stats) == vars(cb.stats), f"mc {j} stats"
+        assert ca.bank_busy == cb.bank_busy, f"mc {j} bank_busy"
+        assert ca.channel_free == cb.channel_free, f"mc {j} channel"
+        assert ca._recent_rows == cb._recent_rows, f"mc {j} rows"
+        assert ca._recent_times == cb._recent_times, f"mc {j} times"
+    da, db = a.directory, b.directory
+    assert da.tracked_lines == db.tracked_lines
+    assert list(da._sharers) == list(db._sharers)
+    for line in da._sharers:
+        assert da.sharers_of(line) == db.sharers_of(line), line
+    assert a.network.link_free == b.network.link_free
+    assert vars(a.network.stats) == vars(b.network.stats)
+    for level in ("l1", "l2"):
+        for node, (xa, xb) in enumerate(zip(getattr(a, level),
+                                            getattr(b, level))):
+            assert (xa.hits, xa.misses) == (xb.hits, xb.misses), \
+                f"{level} {node} counters"
+            assert xa.sets == xb.sets, f"{level} {node} contents"
+
+
+def _assert_equivalent(pairs):
+    """Fast and reference agree on metrics and on simulator state."""
+    (fast, fast_sim), (ref, ref_sim) = pairs
+    _assert_identical(fast, ref)
+    _assert_same_state(fast_sim, ref_sim)
+
+
 @pytest.mark.parametrize("optimized", [False, True])
 @pytest.mark.parametrize("mapping_name", ["M1", "M2"])
-def test_mappings_bit_identical(optimized, mapping_name):
+def test_mappings_bit_identical(simulators, optimized, mapping_name):
     program = build_workload("swim", SCALE)
     config = _config()
     mapping = resolve_mapping(config, mapping_name)
-    fast, ref = _metrics_pair(program, config, mapping=mapping,
-                              optimized=optimized)
-    _assert_identical(fast, ref)
+    _assert_equivalent(_run_pair(simulators, program, config,
+                                 mapping=mapping, optimized=optimized))
 
 
 @pytest.mark.parametrize("interleaving", ["cache_line", "page"])
-def test_interleavings_bit_identical(interleaving):
+def test_interleavings_bit_identical(simulators, interleaving):
     program = build_workload("mgrid", SCALE)
     config = _config(interleaving=interleaving)
-    fast, ref = _metrics_pair(program, config, optimized=True)
-    _assert_identical(fast, ref)
+    _assert_equivalent(_run_pair(simulators, program, config,
+                                 optimized=True))
 
 
-def test_optimal_scheme_bit_identical():
+def test_optimal_scheme_bit_identical(simulators):
     program = build_workload("swim", SCALE)
-    fast, ref = _metrics_pair(program, _config(), optimal=True)
-    _assert_identical(fast, ref)
+    _assert_equivalent(_run_pair(simulators, program, _config(),
+                                 optimal=True))
 
 
-def test_first_touch_seeded_bit_identical():
+def test_first_touch_seeded_bit_identical(simulators):
     program = build_workload("applu", SCALE)
-    fast, ref = _metrics_pair(program, _config(), optimized=True,
-                              page_policy="first_touch", seed=7)
-    _assert_identical(fast, ref)
+    _assert_equivalent(_run_pair(simulators, program, _config(),
+                                 optimized=True,
+                                 page_policy="first_touch", seed=7))
 
 
-def test_integer_fault_plan_bit_identical():
+def test_integer_fault_plan_bit_identical(simulators):
     # Every window edge and factor integral: the fast loop stays in
     # its exact int64 prefix-sum timing mode.
     plan = FaultPlan(link_faults=(LinkFault(0, 1),),
@@ -95,45 +159,42 @@ def test_integer_fault_plan_bit_identical():
                      mc_faults=(MCFault(1, "slow", 2.0, 0, 50_000),),
                      bank_faults=(BankFault(0, 0),))
     program = build_workload("swim", SCALE)
-    fast, ref = _metrics_pair(program, _config(), optimized=True,
-                              fault_plan=plan)
-    _assert_identical(fast, ref)
+    _assert_equivalent(_run_pair(simulators, program, _config(),
+                                 optimized=True, fault_plan=plan))
 
 
-def test_fractional_fault_plan_bit_identical():
+def test_fractional_fault_plan_bit_identical(simulators):
     # Fractional factors and window edges force the general
     # floating-point timing mode; identity must survive that too.
     plan = FaultPlan(
         link_degradations=(LinkDegradation(0, 1, 1.5),),
         mc_faults=(MCFault(2, "slow", 1.7, 100.5, 60_000.25),))
     program = build_workload("swim", SCALE)
-    fast, ref = _metrics_pair(program, _config(), optimized=True,
-                              fault_plan=plan)
-    _assert_identical(fast, ref)
+    _assert_equivalent(_run_pair(simulators, program, _config(),
+                                 optimized=True, fault_plan=plan))
 
 
-def test_fractional_overlap_bit_identical():
+def test_fractional_overlap_bit_identical(simulators):
     # art's MLP demand drives effective_overlap above zero, so keep < 1
     # and simulated times go fractional (general timing mode).
     program = build_workload("art", SCALE)
-    fast, ref = _metrics_pair(program, _config(), optimized=True)
-    _assert_identical(fast, ref)
+    _assert_equivalent(_run_pair(simulators, program, _config(),
+                                 optimized=True))
 
 
-def test_strict_validation_bit_identical():
+def test_strict_validation_bit_identical(simulators):
     # Strict validation attaches a NetworkAudit, which routes the fast
     # loop through the regular send method; the audit must also pass.
     program = build_workload("swim", SCALE)
-    fast, ref = _metrics_pair(program, _config(), optimized=True,
-                              validate="strict")
-    _assert_identical(fast, ref)
+    _assert_equivalent(_run_pair(simulators, program, _config(),
+                                 optimized=True, validate="strict"))
 
 
-def test_obs_full_bit_identical():
+def test_obs_full_bit_identical(simulators):
+    # Telemetry routes sends and the MC service through their methods.
     program = build_workload("swim", SCALE)
-    fast, ref = _metrics_pair(program, _config(), optimized=True,
-                              obs="full")
-    _assert_identical(fast, ref)
+    _assert_equivalent(_run_pair(simulators, program, _config(),
+                                 optimized=True, obs="full"))
 
 
 @pytest.mark.parametrize("knob", [{"shared_l2": True},

@@ -211,6 +211,26 @@ class TestRunSpecObs:
         assert {"run", "trace.generate", "sim.system",
                 "sim.events"} <= names
 
+    def test_fast_run_splits_events(self, program, config):
+        # A fast run nests one sim.replay and one sim.misses span in
+        # sim.events; the reference loop has neither.
+        result = run_simulation(_spec(program, config, obs="spans"))
+        by_name = {}
+        for span in result.obs.spans:
+            by_name.setdefault(span.name, []).append(span)
+        (events,) = by_name["sim.events"]
+        (replay,) = by_name["sim.replay"]
+        (misses,) = by_name["sim.misses"]
+        assert events.start <= replay.start <= replay.end \
+            <= misses.start <= misses.end <= events.end
+        m = result.metrics
+        assert misses.args["misses"] == m.onchip_remote + m.offchip
+        reference = run_simulation(_spec(program, config, obs="spans",
+                                         engine="reference"))
+        names = {s.name for s in reference.obs.spans}
+        assert "sim.events" in names
+        assert not names & {"sim.replay", "sim.misses"}
+
     def test_full_level_results_bit_identical(self, program, config):
         plain = run_simulation(_spec(program, config))
         observed = run_simulation(_spec(program, config, obs="full"))

@@ -216,6 +216,20 @@ class TestDedupe:
         assert status == 200
         assert "repro_serve_store_hits" in metrics
 
+    def test_first_baseline_run_is_store_miss(self, tmp_path):
+        # A baseline run never carries a transformation, so a fresh
+        # simulation must not be mistaken for a store replay.
+        body = dict(RUN_BODY, optimized=False)
+        with LiveServer(store=str(tmp_path / "store")) as live:
+            status, first = live.request("/v1/run", body)
+            assert status == 200
+            assert first["result"]["store_hit"] is False
+            status, metrics = live.request("/metrics")
+            assert metric_value(metrics, "repro_serve_store_misses") == 1
+            assert not metric_value(metrics, "repro_serve_store_hits")
+            status, second = live.request("/v1/run", body)
+            assert second["result"]["store_hit"] is True
+
     def test_repeat_run_has_zero_simulation_spans(self, tmp_path):
         # The acceptance criterion, checked where spans are visible:
         # the same store-backed spec the service would run, replayed
