@@ -3,8 +3,8 @@
 Standalone script (not a pytest benchmark): runs the reference design-
 space sweep once with ``workers=1`` and once with ``workers=N``,
 asserts the two CSVs are byte-identical, and records wall-clock
-timings, the shared-artifact-plane and steal-queue counters, and the
-machine's CPU count to ``BENCH_sweep.json`` at the repo root.
+timings, the steal-queue counters, and the machine's CPU count to
+``BENCH_sweep.json`` at the repo root.
 
 Honesty rules, enforced here rather than left to the reader:
 
@@ -38,7 +38,6 @@ from pathlib import Path
 from repro import MachineConfig
 from repro.sim import memo
 from repro.sim.executor import reset_steal_stats, steal_stats
-from repro.sim.shm import reset_shm_stats, shm_stats
 from repro.sim.sweep import Sweep, to_csv
 from repro.workloads import build_workload
 
@@ -70,7 +69,6 @@ def main():
     usable_cores = min(PARALLEL_WORKERS, cpu_count)
 
     serial_s, serial_csv = timed_sweep(program, config, workers=1)
-    reset_shm_stats()
     reset_steal_stats()
     parallel_s, parallel_csv = timed_sweep(program, config,
                                            workers=PARALLEL_WORKERS)
@@ -89,7 +87,6 @@ def main():
         "parallel_workers": PARALLEL_WORKERS,
         "parallel_seconds": round(parallel_s, 3),
         "csv_byte_identical": identical,
-        "shm": shm_stats(),
         "steal": steal_stats(),
         "efficiency_bound": EFFICIENCY_BOUND,
     }

@@ -145,8 +145,6 @@ def sweep(program: Program, *,
           store: Optional[str] = None,
           progress: Optional[Callable] = None,
           max_points: Optional[int] = None,
-          batch: Optional[int] = None,
-          shm: Optional[bool] = None,
           **axes: Iterable) -> SweepResult:
     """Run a cartesian configuration sweep and return its
     :class:`SweepResult`.
@@ -184,20 +182,13 @@ def sweep(program: Program, *,
     processes.  Results are bit-identical with the store on or off;
     ``result.store_hits`` / ``result.store_misses`` report the
     traffic.
-
-    ``batch`` overrides the work-stealing batch size and ``shm``
-    forces the shared artifact plane on/off (``None`` = auto); both
-    are operational knobs of :mod:`repro.sim.executor` -- they shape
-    scheduling, never results -- so like ``progress`` they stay out of
-    the wire request.
     """
     request = SweepRequest.from_objects(
         program=program, config=config, axes=axes, workers=workers,
         hardened=hardened, fault_plan=fault_plan, seed=seed,
         validate=validate, obs=obs, engine=engine, store=store)
     return request.execute(progress=progress, checkpoint=checkpoint,
-                           harness=harness, max_points=max_points,
-                           batch=batch, shm=shm)
+                           harness=harness, max_points=max_points)
 
 
 def search(program: Program,

@@ -516,15 +516,9 @@ class SweepRequest(_Request):
     def execute(self, progress: Optional[Callable] = None,
                 checkpoint: Optional[str] = None,
                 harness: Optional[HarnessConfig] = None,
-                max_points: Optional[int] = None,
-                batch: Optional[int] = None,
-                shm: Optional[bool] = None) -> SweepReport:
+                max_points: Optional[int] = None) -> SweepReport:
         """Run the sweep.  ``checkpoint``/``harness``/``max_points``
-        imply the hardened engine, exactly as the facade documents.
-        ``batch``/``shm`` are operational executor knobs (work-stealing
-        batch size, shared-artifact plane) -- like ``progress`` they
-        shape *how* the sweep runs, never what it computes, so they are
-        execute-time parameters rather than wire fields."""
+        imply the hardened engine, exactly as the facade documents."""
         program, config, plan = self._resolve()
         hardened = (self.hardened or checkpoint is not None
                     or harness is not None or max_points is not None)
@@ -533,15 +527,13 @@ class SweepRequest(_Request):
                                  checkpoint=checkpoint, fault_plan=plan,
                                  seed=self.seed, workers=self.workers,
                                  validate=self.validate, obs=self.obs,
-                                 engine=self.engine, store=self.store,
-                                 batch=batch, shm=shm
+                                 engine=self.engine, store=self.store
                                  ).run(max_points=max_points,
                                        progress=progress, **self.axes)
         runner = Sweep(program, config, workers=self.workers,
                        fault_plan=plan, seed=self.seed,
                        validate=self.validate, obs=self.obs,
-                       engine=self.engine, store=self.store,
-                       batch=batch, shm=shm)
+                       engine=self.engine, store=self.store)
         points = runner.run(progress=progress, **self.axes)
         return SweepReport(rows=[point.row() for point in points],
                            points=list(points),

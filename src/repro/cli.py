@@ -338,17 +338,13 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
                   f"points done, {state['failed']} failed",
                   file=sys.stderr)
     from repro.sim.executor import steal_stats
-    from repro.sim.shm import shm_stats
-    shm_before = shm_stats()
     steal_before = steal_stats()
     try:
         request = SweepRequest.from_objects(
             program=program, config=_config(args), axes=axes,
             workers=workers, validate=args.validate,
             engine=args.engine, store=args.store or None)
-        report = request.execute(progress=progress,
-                                 batch=args.batch or None,
-                                 shm=False if args.no_shm else None)
+        report = request.execute(progress=progress)
     except ValidationError:
         raise  # main() maps it to the validation exit code
     except ValueError as err:  # e.g. unknown mapping preset value
@@ -364,18 +360,9 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
                   f"misses={report.store_misses} dir={args.store}",
                   file=sys.stderr)
         if workers > 1:
-            # The CI scaling job greps these two lines to prove workers
-            # attached the shared artifact plane and stole batches.
-            shm_now = shm_stats()
+            # The CI scaling job greps this line to prove workers
+            # stole batches.
             steal_now = steal_stats()
-            print(f"[shm] published="
-                  f"{shm_now['published'] - shm_before['published']} "
-                  f"attached="
-                  f"{shm_now['attached'] - shm_before['attached']} "
-                  f"bytes={shm_now['bytes'] - shm_before['bytes']} "
-                  f"corrupt="
-                  f"{shm_now['corrupt'] - shm_before['corrupt']}",
-                  file=sys.stderr)
             print(f"[steal] batches="
                   f"{steal_now['batches'] - steal_before['batches']} "
                   f"tasks={steal_now['tasks'] - steal_before['tasks']} "
@@ -679,13 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="parallel worker processes for grid points "
                         "(default: one per CPU; 1 = in-process)")
-    p.add_argument("--batch", type=int, default=0,
-                   help="points per stolen batch (default: sized "
-                        "automatically from grid and pool)")
-    p.add_argument("--no-shm", action="store_true",
-                   help="disable the shared-memory artifact plane "
-                        "(workers recompile/regenerate per point; "
-                        "bit-identical, just slower)")
     p.add_argument("--validate", default="off",
                    choices=["off", "metrics", "strict"],
                    help="invariant-sanitizer level for every run")

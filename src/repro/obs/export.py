@@ -182,10 +182,6 @@ def process_registry() -> "TelemetryRegistry":
     * ``supervision.*`` -- the pool supervisor's recovery counters
       (:func:`repro.sim.executor.supervision_stats`: worker restarts,
       re-enqueued points, hang detections).
-    * ``shm.*`` -- the shared artifact plane's counters
-      (:func:`repro.sim.shm.shm_stats`: segments published and their
-      bytes, worker attaches, checksum-corrupt entries skipped,
-      segments unlinked/reaped).
     * ``steal.*`` -- the work-stealing scheduler's counters
       (:func:`repro.sim.executor.steal_stats`: batches and tasks
       handed to workers, points re-enqueued after a loss).
@@ -202,7 +198,6 @@ def process_registry() -> "TelemetryRegistry":
     from repro.obs.telemetry import TelemetryRegistry
     from repro.sim.executor import steal_stats, supervision_stats
     from repro.sim.harness import abandoned_threads
-    from repro.sim.shm import shm_stats
     from repro.store import base as store_base
     from repro.store.remote import RemoteStats
 
@@ -228,8 +223,6 @@ def process_registry() -> "TelemetryRegistry":
     registry.gauge("store.remote.breaker_state").set(breaker_state)
     for name, value in supervision_stats().items():
         registry.counter(f"supervision.{name}").inc(value)
-    for name, value in shm_stats().items():
-        registry.counter(f"shm.{name}").inc(value)
     for name, value in steal_stats().items():
         registry.counter(f"steal.{name}").inc(value)
     strays = abandoned_threads()

@@ -119,9 +119,8 @@ def run_search(program: Program,
 
     ``workers`` > 1 fans the frontier re-simulation out through the
     supervised work-stealing executor
-    (:func:`repro.sim.executor.execute_runs`, sharing one artifact
-    plane across the survivors); results -- and the CSV bytes -- are
-    bit-identical to the serial loop.
+    (:func:`repro.sim.executor.execute_runs`); results -- and the CSV
+    bytes -- are bit-identical to the serial loop.
     """
     from repro.sim.executor import execute_runs
     from repro.sim.run import RunSpec, run_simulation

@@ -6,8 +6,8 @@ point pays the full baseline+optimized simulation cost in one process.
 This module is the shared engine underneath :class:`repro.sim.sweep.Sweep`,
 :class:`repro.sim.harness.HardenedSweep`, and the ``repro-cli sweep
 --workers N`` flag: it turns a list of grid points into
-:class:`PointTask` work items and executes them on a
-:class:`~concurrent.futures.ProcessPoolExecutor` with chunked
+:class:`PointTask` work items and executes them on a fork-started
+:class:`~concurrent.futures.ProcessPoolExecutor` with work-stealing
 scheduling.
 
 Determinism is free by construction: a grid point is a pure function of
@@ -34,7 +34,6 @@ import os
 import random
 import signal
 import time
-import warnings
 from collections import deque
 from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
                                 wait)
@@ -50,8 +49,6 @@ from repro.errors import WorkerLostError
 from repro.faults.plan import FaultPlan
 from repro.obs.tracer import obs_instant
 from repro.program.ir import Program
-from repro.sim import memo
-from repro.sim import shm as shm_plane
 from repro.sim.metrics import Comparison
 from repro.sim.run import RunSpec, run_simulation
 from repro.sim.serialize import comparison_row, point_key
@@ -259,6 +256,13 @@ def run_point(task: PointTask) -> PointOutcome:
     return outcome
 
 
+#: The pool's start method, pinned rather than left to the platform
+#: default (forkserver on Linux from Python 3.14): workers must inherit
+#: the parent's warm memo and any stand-in patched over ``run_point``,
+#: and only fork hands them either.
+MP_CONTEXT = multiprocessing.get_context("fork")
+
+
 def default_workers() -> int:
     """The CLI default: one worker per available CPU."""
     return os.cpu_count() or 1
@@ -363,52 +367,26 @@ class PointBatch:
     items: Tuple[object, ...]
 
 
-@dataclass
-class _BatchResult:
-    """What a worker sends back: per-item results in batch order, plus
-    the worker's drained shared-memory attach counters (the parent
-    cannot observe worker-side stats any other way)."""
-
-    results: List[object]
-    shm: Dict[str, int]
-
-
-def _pool_init(manifest=None) -> None:
-    """Pool-worker initializer: attach the shared artifact plane (when
-    one was published) into this worker's memo cache.  Attachment is an
-    optimization -- any failure leaves the worker recomputing, which is
-    bit-identical, so errors are swallowed."""
-    if manifest is not None:
-        try:
-            shm_plane.attach_into_memo(manifest)
-        except Exception:
-            pass
-
-
-def _run_point_batch(batch: PointBatch) -> _BatchResult:
+def _run_point_batch(batch: PointBatch) -> List[PointOutcome]:
     """Execute one batch of :class:`PointTask` in a pool worker.
 
     ``run_point`` is resolved through the module global at call time so
     test doubles that monkeypatch ``executor.run_point`` (inherited via
     fork) stay effective under batching.
     """
-    results = [run_point(task) for task in batch.items]
-    return _BatchResult(results, shm_plane.drain_worker_stats())
+    return [run_point(task) for task in batch.items]
 
 
-def _run_spec_batch(batch: PointBatch) -> _BatchResult:
+def _run_spec_batch(batch: PointBatch) -> List[object]:
     """Execute one batch of bare :class:`RunSpec` (the search frontier
     re-simulation path); returns each run's metrics."""
-    results = [run_simulation(spec).metrics for spec in batch.items]
-    return _BatchResult(results, shm_plane.drain_worker_stats())
+    return [run_simulation(spec).metrics for spec in batch.items]
 
 
 def _execute_scheduled(items: Sequence[object],
-                       runner: Callable[[PointBatch], _BatchResult],
+                       runner: Callable[[PointBatch], List[object]],
                        workers: int,
                        policy: SupervisionPolicy,
-                       batch_size: int,
-                       manifest,
                        on_result: Optional[Callable] = None,
                        describe: Callable[[object], str] = repr
                        ) -> List[object]:
@@ -429,6 +407,7 @@ def _execute_scheduled(items: Sequence[object],
     :class:`WorkerLostError`.
     """
     results: List[Optional[object]] = [None] * len(items)
+    batch_size = default_batch_size(len(items), workers)
     attempts = [0] * len(items)
     pending = list(range(len(items)))
     reported = 0
@@ -452,8 +431,7 @@ def _execute_scheduled(items: Sequence[object],
         round_workers = max(1, min(workers, len(pending)))
         cap = round_workers * 2  # bounded steal window
         pool = ProcessPoolExecutor(max_workers=round_workers,
-                                   initializer=_pool_init,
-                                   initargs=(manifest,))
+                                   mp_context=MP_CONTEXT)
         in_flight: Dict[object, Tuple[int, ...]] = {}
         lost: List[int] = []
         hung = False
@@ -489,13 +467,12 @@ def _execute_scheduled(items: Sequence[object],
                 for future in done:
                     indices = in_flight.pop(future)
                     try:
-                        batch_result = future.result()
+                        batch_results = future.result()
                     except BrokenProcessPool:
                         lost.extend(indices)
                         broken = True
                         continue
-                    shm_plane.absorb_worker_stats(batch_result.shm)
-                    for j, value in zip(indices, batch_result.results):
+                    for j, value in zip(indices, batch_results):
                         results[j] = value
                 flush()
                 submit_ready()
@@ -535,34 +512,11 @@ def _execute_scheduled(items: Sequence[object],
     return results  # type: ignore[return-value]
 
 
-def _publish_plane(specs: Sequence[RunSpec],
-                   shm: Optional[bool]):
-    """Publish the shared artifact plane for ``specs`` when profitable.
-
-    ``shm=None`` means *auto*: publish iff the memo is enabled (a
-    disabled memo means workers would not adopt anyway) and at least
-    one spec actually reaches the compile/trace pipeline (analytic
-    runs never do).  Returns the plane or ``None``.
-    """
-    if shm is None:
-        shm = memo.enabled()
-    if not shm:
-        return None
-    eligible = [spec for spec in specs if spec.engine != "analytic"]
-    if not eligible:
-        return None
-    return shm_plane.ArtifactPlane.publish(eligible)
-
-
 def execute_points(tasks: Sequence[PointTask],
                    workers: Optional[int] = None,
-                   chunksize: Optional[int] = None,
                    progress: Optional[Callable[[PointOutcome], None]]
                    = None,
-                   supervision: Optional[SupervisionPolicy] = None,
-                   batch: Optional[int] = None,
-                   shm: Optional[bool] = None,
-                   plane: Optional[object] = None
+                   supervision: Optional[SupervisionPolicy] = None
                    ) -> List[PointOutcome]:
     """Run grid points, preserving submission order.
 
@@ -574,35 +528,19 @@ def execute_points(tasks: Sequence[PointTask],
     nothing stochastic: all seeding travels inside each task, so the
     fan-out is bit-identical to the serial loop.
 
-    The parallel path publishes the grid's shared compile/trace
-    artifacts into shared memory once (:mod:`repro.sim.shm`) and
-    schedules :class:`PointBatch` units onto the pool with work
-    stealing (:func:`_execute_scheduled`), supervised per
+    The parallel path schedules :class:`PointBatch` units onto the pool
+    with work stealing (:func:`_execute_scheduled`), supervised per
     :class:`SupervisionPolicy`: a worker death or hang re-enqueues the
     lost points on a fresh pool instead of aborting the sweep, and only
-    an exhausted retry budget raises.
-
-    ``batch`` overrides :func:`default_batch_size`; ``shm`` forces the
-    artifact plane on/off (``None`` = auto: on iff the memo is
-    enabled); ``plane`` injects a pre-published
-    :class:`~repro.sim.shm.ArtifactPlane` (the caller keeps ownership
-    -- the chaos tests use this to hand workers a corrupted plane).
-    ``chunksize`` is deprecated and ignored: batching supersedes it.
+    an exhausted retry budget raises.  Each worker compiles and traces
+    what its points need through its own memo.
 
     ``progress`` (optional) is called in the *parent* process with each
     outcome as it is collected, in submission order -- the hook behind
     ``repro-cli sweep --progress``.  It never rides into workers, so it
     need not be picklable.
     """
-    global _CHUNKSIZE_WARNED
     tasks = list(tasks)
-    if chunksize is not None and not _CHUNKSIZE_WARNED:
-        warnings.warn(
-            "execute_points(chunksize=...) is deprecated and ignored; "
-            "scheduling is work-stealing with batches sized by "
-            "default_batch_size (override with batch=)",
-            DeprecationWarning, stacklevel=2)
-        _CHUNKSIZE_WARNED = True
     if workers is None:
         workers = default_workers()
     workers = max(1, min(int(workers), len(tasks) or 1))
@@ -614,59 +552,24 @@ def execute_points(tasks: Sequence[PointTask],
             if progress is not None:
                 progress(outcome)
         return outcomes_serial
-
-    policy = supervision or SupervisionPolicy()
-    batch_size = max(1, int(batch)) if batch else \
-        default_batch_size(len(tasks), workers)
-    own_plane = None
-    if plane is None:
-        specs: List[RunSpec] = []
-        for task in tasks:
-            base_spec, opt_spec = point_specs(
-                task.program, task.base_config, dict(task.settings),
-                task.fault_plan, task.seed, task.validate, task.obs,
-                task.engine, task.store)
-            specs.extend((base_spec, opt_spec))
-        own_plane = _publish_plane(specs, shm)
-        plane = own_plane
-    manifest = plane.manifest() if plane is not None else None
-    try:
-        return _execute_scheduled(
-            tasks, _run_point_batch, workers, policy, batch_size,
-            manifest, on_result=progress,
-            describe=lambda t: f"settings: {dict(t.settings)}")
-    finally:
-        if own_plane is not None:
-            own_plane.close()
-
-
-_CHUNKSIZE_WARNED = False
+    return _execute_scheduled(
+        tasks, _run_point_batch, workers,
+        supervision or SupervisionPolicy(), on_result=progress,
+        describe=lambda t: f"settings: {dict(t.settings)}")
 
 
 def execute_runs(specs: Sequence[RunSpec],
-                 workers: Optional[int] = None,
-                 shm: Optional[bool] = None,
-                 batch: Optional[int] = None) -> List[object]:
+                 workers: Optional[int] = None) -> List[object]:
     """Run bare :class:`RunSpec` items, returning each run's metrics in
     submission order -- the engine under the search frontier
     re-simulation.  ``workers=None``/1 runs serially in-process;
-    otherwise the same shared-artifact plane, work stealing and
-    supervision as :func:`execute_points` apply, and results are
-    bit-identical either way."""
+    otherwise the same work stealing and supervision as
+    :func:`execute_points` apply, and results are bit-identical either
+    way."""
     specs = list(specs)
     workers = max(1, min(int(workers or 1), len(specs) or 1))
     if workers == 1:
         return [run_simulation(spec).metrics for spec in specs]
-    policy = SupervisionPolicy()
-    batch_size = max(1, int(batch)) if batch else \
-        default_batch_size(len(specs), workers)
-    own_plane = _publish_plane(specs, shm)
-    manifest = own_plane.manifest() if own_plane is not None else None
-    try:
-        return _execute_scheduled(
-            specs, _run_spec_batch, workers, policy, batch_size,
-            manifest,
-            describe=lambda s: f"spec: {s.key()}")
-    finally:
-        if own_plane is not None:
-            own_plane.close()
+    return _execute_scheduled(specs, _run_spec_batch, workers,
+                              SupervisionPolicy(),
+                              describe=lambda s: f"spec: {s.key()}")

@@ -299,9 +299,6 @@ class HardenedSweep:
     in-flight point, exactly as before).  Results are bit-identical to
     a serial run.  In parallel mode the harness's ``sleep`` callback
     must be picklable (the default, :func:`time.sleep`, is).
-    ``batch``/``shm`` forward to
-    :func:`~repro.sim.executor.execute_points` (batch size override and
-    shared-artifact-plane switch).
     """
 
     def __init__(self, program: Program,
@@ -314,9 +311,7 @@ class HardenedSweep:
                  validate: str = "off",
                  obs: str = "off",
                  engine: str = "fast",
-                 store: Optional[str] = None,
-                 batch: Optional[int] = None,
-                 shm: Optional[bool] = None):
+                 store: Optional[str] = None):
         self.program = program
         self.base_config = base_config or \
             MachineConfig.scaled_default().with_(interleaving="cache_line")
@@ -325,8 +320,6 @@ class HardenedSweep:
         self.fault_plan = fault_plan
         self.seed = seed
         self.workers = workers
-        self.batch = batch
-        self.shm = shm
         self.validate = validate
         self.obs = obs
         # Not part of the point key or the checkpoint: engines are
@@ -485,12 +478,11 @@ class HardenedSweep:
             pending.append((key, settings))
 
         # Work-stealing execution with streaming checkpoints: one
-        # execute_points call covers the whole grid (so the pool and
-        # the shared artifact plane are built once), and the parent
-        # records each outcome as it arrives, rewriting the
-        # checkpoint every ``checkpoint_every`` completions (the
-        # former wave size), which bounds both checkpoint-write
-        # frequency and the work a kill can lose.
+        # execute_points call covers the whole grid (so the pool is
+        # built once), and the parent records each outcome as it
+        # arrives, rewriting the checkpoint every ``checkpoint_every``
+        # completions (the former wave size), which bounds both
+        # checkpoint-write frequency and the work a kill can lose.
         obs_parts: List[object] = []
         completed = 0
         processed = 0
@@ -524,11 +516,6 @@ class HardenedSweep:
                 flushes += 1
 
         if pending:
-            extra: Dict[str, object] = {}
-            if self.batch is not None:
-                extra["batch"] = self.batch
-            if self.shm is not None:
-                extra["shm"] = self.shm
             try:
                 execute_points(
                     [PointTask(program=self.program,
@@ -540,7 +527,7 @@ class HardenedSweep:
                                engine=self.engine, store=self.store,
                                hardened=True, harness=self.harness)
                      for _, settings in pending],
-                    workers=self.workers, progress=record, **extra)
+                    workers=self.workers, progress=record)
             finally:
                 # Even a sweep aborted by an exhausted retry budget
                 # keeps every point that streamed in before the loss.

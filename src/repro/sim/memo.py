@@ -132,27 +132,6 @@ def configure(enabled: Optional[bool] = None,
         cache.clear()
 
 
-def adopt(entries: Dict[str, object]) -> int:
-    """Pre-load externally produced artifacts (the shared-memory plane
-    attaching in a pool worker; see :mod:`repro.sim.shm`).
-
-    Grows the LRU capacity to hold every adopted entry plus the normal
-    working set, so adopted artifacts are not immediately evicted by
-    the first few per-point misses.  No-op while the memo is disabled
-    -- a worker asked to bypass the cache must also bypass the plane.
-    Returns the number of entries adopted.
-    """
-    if not _enabled or not entries:
-        return 0
-    with _configure_lock:
-        needed = len(entries) + cache.capacity
-        if cache.capacity < needed:
-            cache.capacity = needed
-    for key, value in entries.items():
-        cache.put(key, value)
-    return len(entries)
-
-
 def _digest(payload: Dict[str, object]) -> str:
     return hashlib.sha1(
         json.dumps(payload, sort_keys=True, default=str)

@@ -1,615 +1,15 @@
-"""Shared read-only artifact plane for parallel sweeps.
+"""Zeroed counters left where the removed shared-memory artifact plane was.
 
-A sweep grid shares most of its front-half work: every baseline run of
-a mapping axis uses one compiled program and one trace set, and every
-point of a seed/fault-plan axis shares both.  The in-process memo
-(:mod:`repro.sim.memo`) already deduplicates that work *within* a
-process -- but a process pool multiplies it again: every worker used to
-recompile and regenerate traces for itself, so an N-worker sweep paid
-the front half up to N times.
-
-This module publishes the memo's artifacts once, from the parent, into
-POSIX shared memory (:mod:`multiprocessing.shared_memory`) and lets
-pool workers *attach* instead of recompute:
-
-* :meth:`ArtifactPlane.publish` computes each shareable artifact once
-  (through the memo, so the parent's own cache warms too), packs it
-  into one segment per artifact -- trace arrays as raw bytes, the
-  pickled remainder alongside -- and records everything in a picklable
-  :class:`Manifest` keyed by the memo's own content-hash keys.
-* :func:`attach_into_memo` runs in each pool worker (the executor's
-  initializer): it maps the segments, verifies each entry's SHA-256
-  checksum, reconstructs trace arrays as **zero-copy read-only NumPy
-  views** over the shared buffer, and adopts the values into the
-  worker's memo cache.  A corrupt entry (flipped bits, truncation) is
-  counted and skipped -- the worker recomputes that artifact locally,
-  so results stay bit-identical no matter what happened to the bytes.
-
-Lifecycle is refcounted and crash-safe: the plane unlinks its segments
-on :meth:`~ArtifactPlane.close` (guarded by an acquire/release count
-for callers that share one plane across pool rebuilds), a
-``weakref.finalize`` hook covers abandoned planes at interpreter exit,
-and a *janitor* sidecar file names every segment so that
-:func:`reap_stale` can unlink leftovers from a SIGKILLed parent on the
-next run.  Attaching workers never unlink: under fork the whole family
-shares one ``resource_tracker`` whose registration is owned by the
-publisher, so a chaos SIGKILL of a worker cannot tear the segments out
-from under its siblings (see :func:`attach_segment`).
-
-Everything here is optional plumbing: with the plane disabled
-(``--no-shm``, or ``memo.configure(enabled=False)``) workers simply
-recompute, and results are bit-identical either way.
+``perfbench/workloads.py`` still resets and reads them around its
+``sweep`` workload, so these two functions stay, always reporting zero.
 """
 
-from __future__ import annotations
-
-import atexit
-import hashlib
-import json
-import os
-import pickle
-import tempfile
-import warnings
-import weakref
-from dataclasses import dataclass
-from multiprocessing import shared_memory
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
-
-from repro.obs.tracer import obs_instant, obs_span
-from repro.sim import memo
-
-__all__ = ["ArtifactPlane", "Manifest", "attach_into_memo",
-           "attach_segment", "drain_worker_stats", "reap_stale",
-           "reset_shm_stats", "shm_stats"]
-
-#: Segment names start with this; the chaos tests (and the janitor)
-#: recognize leaked ``/dev/shm`` entries by it.
-SEGMENT_PREFIX = "repro_shm_"
-
-#: Array payloads are aligned to this many bytes inside a segment so
-#: int64 views are always well-aligned.
-_ALIGN = 16
-
-#: Publish only artifacts that at least this many runs share.  An
-#: artifact used once gains nothing from the plane (the one worker that
-#: needs it computes it exactly once either way), so publishing it
-#: would just serialize work into the parent.
-MIN_SHARED_RUNS = 2
-
-
-class SharedPlaneWarning(UserWarning):
-    """The artifact plane degraded (a segment could not be published or
-    attached); the sweep continues on local recomputation."""
-
-
-# ---------------------------------------------------------------------------
-# Process-wide counters (style of executor.supervision_stats)
-
-#: Parent-process counters; worker-side attach counts travel back to
-#: the parent inside batch results and are folded in by the executor.
-_SHM = {"published": 0, "bytes": 0, "attached": 0, "attached_bytes": 0,
-        "corrupt": 0, "unlinked": 0, "reaped": 0}
+from typing import Dict
 
 
 def shm_stats() -> Dict[str, int]:
-    """Process-wide shared-artifact counters: segments ``published``
-    and their payload ``bytes``, worker ``attached`` entries (and
-    ``attached_bytes``) as reported back through batch results,
-    checksum-``corrupt`` entries skipped, segments ``unlinked`` on
-    close, and stale segments ``reaped`` by the janitor."""
-    return dict(_SHM)
+    return {"published": 0, "bytes": 0, "attached": 0}
 
 
 def reset_shm_stats() -> None:
-    for key in _SHM:
-        _SHM[key] = 0
-
-
-def absorb_worker_stats(stats: Optional[Dict[str, int]]) -> None:
-    """Fold a worker's attach counters (travelling inside a batch
-    result) into the parent's process-wide stats."""
-    if not stats:
-        return
-    _SHM["attached"] += int(stats.get("attached", 0))
-    _SHM["attached_bytes"] += int(stats.get("attached_bytes", 0))
-    _SHM["corrupt"] += int(stats.get("corrupt", 0))
-
-
-#: Worker-side counters, drained into each batch result so the parent
-#: can aggregate attach activity it cannot observe directly.
-_WORKER = {"attached": 0, "attached_bytes": 0, "corrupt": 0}
-
-
-def drain_worker_stats() -> Dict[str, int]:
-    """Return and reset this process's attach counters (called by the
-    executor's batch runner inside pool workers)."""
-    out = {k: v for k, v in _WORKER.items() if v}
-    for key in _WORKER:
-        _WORKER[key] = 0
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Manifest
-
-@dataclass(frozen=True)
-class ArrayRef:
-    """One NumPy array inside a segment: byte offset, shape, dtype."""
-
-    offset: int
-    shape: Tuple[int, ...]
-    dtype: str
-
-
-@dataclass(frozen=True)
-class EntryRef:
-    """One published memo entry.
-
-    ``key`` is the memo cache key (``compile:<hash>`` /
-    ``trace:<hash>``); ``meta_len`` bytes of pickle at offset 0 carry
-    the non-array remainder of the value; ``arrays`` (trace entries
-    only: vaddrs/gaps/writes per thread, in thread order) are raw
-    buffers reconstructed as read-only views.  ``digest`` is the
-    SHA-256 of the first ``size`` payload bytes -- attachment verifies
-    it, so a damaged segment degrades to recomputation instead of
-    corrupting results.
-    """
-
-    key: str
-    kind: str  # "compile" | "trace"
-    segment: str
-    size: int
-    digest: str
-    meta_len: int
-    arrays: Tuple[ArrayRef, ...] = ()
-
-
-@dataclass(frozen=True)
-class Manifest:
-    """Everything a worker needs to attach: entry table plus the
-    publisher's identity (for diagnostics)."""
-
-    entries: Tuple[EntryRef, ...]
-    owner_pid: int
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(entry.size for entry in self.entries)
-
-
-# ---------------------------------------------------------------------------
-# Janitor: crash-safe cleanup of leaked segments
-
-def _janitor_dir() -> Path:
-    root = os.environ.get("REPRO_SHM_JANITOR_DIR")
-    if root:
-        return Path(root)
-    return Path(tempfile.gettempdir()) / "repro-shm-janitor"
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True  # someone else's live process
-    except OSError:
-        return False
-    return True
-
-
-def _sidecar_write(token: str, segments: Sequence[str]) -> Optional[Path]:
-    directory = _janitor_dir()
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"{os.getpid()}-{token}.json"
-        path.write_text(json.dumps({"pid": os.getpid(),
-                                    "segments": list(segments)}))
-        return path
-    except OSError:
-        return None  # janitorless operation is only less crash-safe
-
-
-def _unlink_segment(name: str) -> bool:
-    """Best-effort unlink of a named segment; True if it existed."""
-    try:
-        seg = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    except OSError:
-        return False
-    try:
-        seg.close()
-        seg.unlink()
-    except (FileNotFoundError, OSError):
-        pass
-    return True
-
-
-def reap_stale() -> int:
-    """Unlink segments whose publishing process died without cleaning
-    up (SIGKILL, power loss).  Reads every janitor sidecar, skips live
-    owners, unlinks the named segments of dead ones, and removes the
-    sidecar.  Called on every publish; safe (and cheap) to call any
-    time.  Returns the number of segments reaped."""
-    directory = _janitor_dir()
-    if not directory.is_dir():
-        return 0
-    reaped = 0
-    for sidecar in sorted(directory.glob("*.json")):
-        try:
-            payload = json.loads(sidecar.read_text())
-            pid = int(payload["pid"])
-            segments = [str(s) for s in payload.get("segments", ())]
-        except (OSError, ValueError, KeyError, TypeError):
-            try:
-                sidecar.unlink()
-            except OSError:
-                pass
-            continue
-        if pid == os.getpid() or _pid_alive(pid):
-            continue
-        for name in segments:
-            if _unlink_segment(name):
-                reaped += 1
-        try:
-            sidecar.unlink()
-        except OSError:
-            pass
-    if reaped:
-        _SHM["reaped"] += reaped
-        obs_instant("shm.reaped", cat="shm", segments=reaped)
-    return reaped
-
-
-# ---------------------------------------------------------------------------
-# Attach plumbing
-
-def attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without taking ownership.
-
-    Python registers every ``SharedMemory`` -- attached or created --
-    with the ``resource_tracker``.  Under the fork start method every
-    process in the family shares the parent's tracker, whose per-name
-    cache is a *set*: re-registration from an attaching worker is
-    idempotent, the single entry is removed by the owner's ``unlink``,
-    and a leftover entry (owner SIGKILLed before unlinking) makes the
-    tracker unlink the segment at shutdown -- a welcome backstop for
-    the janitor.  So no unregister gymnastics here: sending one from an
-    attacher would strip the owner's registration instead.
-
-    Raises ``FileNotFoundError`` when the segment does not exist.
-    """
-    return shared_memory.SharedMemory(name=name)
-
-
-#: Segments this process has attached (kept open for the lifetime of
-#: the views that alias their buffers).
-_ATTACHED_SEGMENTS: List[shared_memory.SharedMemory] = []
-_ATTACH_CLEANUP_REGISTERED = False
-
-
-def _close_attached() -> None:
-    """Worker atexit: drop cache references and close attachments.
-
-    Closing a segment with live buffer exports raises ``BufferError``;
-    clearing the memo cache first releases the canonical references,
-    and any stragglers are simply left for process teardown (the OS
-    closes the mapping either way -- this hook exists to keep clean
-    exits quiet, not to guarantee anything)."""
-    try:
-        memo.cache.clear()
-    except Exception:
-        pass
-    for seg in _ATTACHED_SEGMENTS:
-        try:
-            seg.close()
-        except BufferError:
-            pass
-        except OSError:
-            pass
-    _ATTACHED_SEGMENTS.clear()
-
-
-def _view(seg: shared_memory.SharedMemory, ref: ArrayRef) -> np.ndarray:
-    count = 1
-    for dim in ref.shape:
-        count *= dim
-    array = np.frombuffer(seg.buf, dtype=np.dtype(ref.dtype),
-                          count=count, offset=ref.offset)
-    array = array.reshape(ref.shape)
-    array.flags.writeable = False
-    return array
-
-
-def _rebuild_trace_value(seg: shared_memory.SharedMemory,
-                         entry: EntryRef):
-    """Reconstruct a ``(space, bases, traces)`` memo value with every
-    trace array a zero-copy view over the shared buffer."""
-    from repro.program.trace import ThreadTrace
-    space, bases, segments_per_thread = pickle.loads(
-        bytes(seg.buf[:entry.meta_len]))
-    if len(entry.arrays) != 3 * len(segments_per_thread):
-        raise ValueError("trace entry array table does not match its "
-                         "thread count")
-    traces = []
-    for t, segs in enumerate(segments_per_thread):
-        vaddrs, gaps, writes = (entry.arrays[3 * t],
-                                entry.arrays[3 * t + 1],
-                                entry.arrays[3 * t + 2])
-        traces.append(ThreadTrace(vaddrs=_view(seg, vaddrs),
-                                  gaps=_view(seg, gaps),
-                                  writes=_view(seg, writes),
-                                  segments=segs))
-    return space, bases, traces
-
-
-def attach_into_memo(manifest: Manifest) -> int:
-    """Attach every manifest entry and adopt it into this process's
-    memo cache (the pool-worker initializer).  Checksum-verified:
-    corrupt entries are counted and skipped, never adopted.  Returns
-    the number of entries adopted."""
-    global _ATTACH_CLEANUP_REGISTERED
-    adopted: Dict[str, object] = {}
-    attached_bytes = 0
-    for entry in manifest.entries:
-        try:
-            seg = attach_segment(entry.segment)
-        except (FileNotFoundError, OSError):
-            _WORKER["corrupt"] += 1
-            continue
-        payload = bytes(seg.buf[:entry.size])
-        if hashlib.sha256(payload).hexdigest() != entry.digest:
-            _WORKER["corrupt"] += 1
-            seg.close()
-            continue
-        try:
-            if entry.kind == "compile":
-                value = pickle.loads(payload[:entry.meta_len])
-                seg.close()  # value fully copied out; drop the mapping
-            else:
-                value = _rebuild_trace_value(seg, entry)
-                _ATTACHED_SEGMENTS.append(seg)  # views alias the buffer
-        except Exception:
-            _WORKER["corrupt"] += 1
-            try:
-                seg.close()
-            except BufferError:
-                _ATTACHED_SEGMENTS.append(seg)
-            continue
-        adopted[entry.key] = value
-        attached_bytes += entry.size
-    count = memo.adopt(adopted) if adopted else 0
-    if count:
-        _WORKER["attached"] += count
-        _WORKER["attached_bytes"] += attached_bytes
-    if _ATTACHED_SEGMENTS and not _ATTACH_CLEANUP_REGISTERED:
-        atexit.register(_close_attached)
-        _ATTACH_CLEANUP_REGISTERED = True
-    return count
-
-
-# ---------------------------------------------------------------------------
-# Publishing
-
-def _aligned(offset: int) -> int:
-    return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-def _pack_entry(key: str, kind: str, meta_blob: bytes,
-                arrays: Sequence[np.ndarray]) -> Tuple[bytes, EntryRef,
-                                                       List[ArrayRef]]:
-    """Lay out one entry's payload: pickle at 0, arrays aligned after."""
-    offset = _aligned(len(meta_blob))
-    refs: List[ArrayRef] = []
-    for array in arrays:
-        refs.append(ArrayRef(offset=offset, shape=tuple(array.shape),
-                             dtype=array.dtype.str))
-        offset = _aligned(offset + array.nbytes)
-    payload = bytearray(offset if arrays else len(meta_blob))
-    payload[:len(meta_blob)] = meta_blob
-    for ref, array in zip(refs, arrays):
-        raw = np.ascontiguousarray(array).tobytes()
-        payload[ref.offset:ref.offset + len(raw)] = raw
-    data = bytes(payload)
-    entry = EntryRef(key=key, kind=kind, segment="", size=len(data),
-                     digest=hashlib.sha256(data).hexdigest(),
-                     meta_len=len(meta_blob), arrays=tuple(refs))
-    return data, entry, refs
-
-
-def _segment_name(token: str, seq: int) -> str:
-    return f"{SEGMENT_PREFIX}{os.getpid()}_{seq}_{token}"
-
-
-class ArtifactPlane:
-    """A set of published shared-memory segments plus their manifest.
-
-    Create with :meth:`publish`; hand :meth:`manifest` to pool workers;
-    :meth:`close` when the last pool using it is gone.  ``acquire`` /
-    ``release`` refcount shared use (e.g. one plane across supervision
-    pool rebuilds): ``close`` only unlinks once the count reaches zero,
-    and the initial reference belongs to the creator.
-    """
-
-    def __init__(self, segments: List[shared_memory.SharedMemory],
-                 manifest: Manifest, sidecar: Optional[Path]):
-        self._segments = segments
-        self._manifest = manifest
-        self._sidecar = sidecar
-        self._refs = 1
-        self._closed = False
-        names = [seg.name for seg in segments]
-        # Backstop for abandoned planes: unlink at GC/interpreter exit.
-        self._finalizer = weakref.finalize(
-            self, _finalize_segments, names,
-            str(sidecar) if sidecar else None)
-
-    # -- introspection ------------------------------------------------------
-    def manifest(self) -> Manifest:
-        return self._manifest
-
-    def __len__(self) -> int:
-        return len(self._manifest.entries)
-
-    @property
-    def total_bytes(self) -> int:
-        return self._manifest.total_bytes
-
-    @property
-    def segment_names(self) -> List[str]:
-        return [seg.name for seg in self._segments]
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    # -- lifecycle ----------------------------------------------------------
-    def acquire(self) -> "ArtifactPlane":
-        if self._closed:
-            raise ValueError("artifact plane is closed")
-        self._refs += 1
-        return self
-
-    def release(self) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Drop one reference; unlink every segment when none remain."""
-        if self._closed:
-            return
-        self._refs -= 1
-        if self._refs > 0:
-            return
-        self._closed = True
-        self._finalizer.detach()
-        unlinked = 0
-        for seg in self._segments:
-            try:
-                seg.close()
-            except (BufferError, OSError):
-                pass
-            try:
-                seg.unlink()
-                unlinked += 1
-            except (FileNotFoundError, OSError):
-                pass
-        self._segments = []
-        _SHM["unlinked"] += unlinked
-        if self._sidecar is not None:
-            try:
-                self._sidecar.unlink()
-            except OSError:
-                pass
-        obs_instant("shm.closed", cat="shm", segments=unlinked)
-
-    def __enter__(self) -> "ArtifactPlane":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- construction -------------------------------------------------------
-    @classmethod
-    def publish(cls, specs: Iterable[object],
-                min_shared: int = MIN_SHARED_RUNS
-                ) -> Optional["ArtifactPlane"]:
-        """Publish the artifacts that ``specs`` share.
-
-        Counts how many runs would consult each compile/trace memo key;
-        keys reaching ``min_shared`` are computed once (through the
-        memo, warming the parent's cache) and packed into segments.
-        Returns ``None`` when nothing crosses the threshold -- a grid
-        with no redundancy has nothing worth a segment.
-        """
-        reap_stale()
-        compile_counts: Dict[str, object] = {}
-        trace_counts: Dict[str, object] = {}
-        compile_n: Dict[str, int] = {}
-        trace_n: Dict[str, int] = {}
-        for spec in specs:
-            ckey = "compile:" + memo.compile_key(spec)
-            tkey = "trace:" + memo.trace_key(spec)
-            compile_counts.setdefault(ckey, spec)
-            trace_counts.setdefault(tkey, spec)
-            compile_n[ckey] = compile_n.get(ckey, 0) + 1
-            trace_n[tkey] = trace_n.get(tkey, 0) + 1
-        plan: List[Tuple[str, str, object]] = []
-        for key, spec in compile_counts.items():
-            if compile_n[key] >= min_shared:
-                plan.append((key, "compile", spec))
-        for key, spec in trace_counts.items():
-            if trace_n[key] >= min_shared:
-                plan.append((key, "trace", spec))
-        if not plan:
-            return None
-
-        token = os.urandom(4).hex()
-        segments: List[shared_memory.SharedMemory] = []
-        entries: List[EntryRef] = []
-        published_bytes = 0
-        with obs_span("shm.publish", cat="shm", entries=len(plan)):
-            for seq, (key, kind, spec) in enumerate(sorted(plan)):
-                try:
-                    if kind == "compile":
-                        value = memo.compiled(spec)
-                        blob = pickle.dumps(
-                            value, protocol=pickle.HIGHEST_PROTOCOL)
-                        data, entry, _ = _pack_entry(key, kind, blob, ())
-                    else:
-                        _, layouts, _ = memo.compiled(spec)
-                        space, bases, traces = memo.placed_traces(
-                            spec, layouts)
-                        blob = pickle.dumps(
-                            (space, bases,
-                             [trace.segments for trace in traces]),
-                            protocol=pickle.HIGHEST_PROTOCOL)
-                        arrays: List[np.ndarray] = []
-                        for trace in traces:
-                            arrays.extend((trace.vaddrs, trace.gaps,
-                                           trace.writes))
-                        data, entry, _ = _pack_entry(key, kind, blob,
-                                                     arrays)
-                    name = _segment_name(token, seq)
-                    seg = shared_memory.SharedMemory(
-                        name=name, create=True, size=max(1, len(data)))
-                    seg.buf[:len(data)] = data
-                except Exception as err:
-                    # Publishing is an optimization; a full /dev/shm or
-                    # an unpicklable artifact must not kill the sweep.
-                    warnings.warn(
-                        f"shared artifact plane skipped {key}: {err}",
-                        SharedPlaneWarning, stacklevel=2)
-                    continue
-                segments.append(seg)
-                entries.append(EntryRef(
-                    key=entry.key, kind=entry.kind, segment=seg.name,
-                    size=entry.size, digest=entry.digest,
-                    meta_len=entry.meta_len, arrays=entry.arrays))
-                published_bytes += entry.size
-        if not segments:
-            return None
-        _SHM["published"] += len(segments)
-        _SHM["bytes"] += published_bytes
-        sidecar = _sidecar_write(token, [seg.name for seg in segments])
-        manifest = Manifest(entries=tuple(entries),
-                            owner_pid=os.getpid())
-        obs_instant("shm.published", cat="shm", segments=len(segments),
-                    bytes=published_bytes)
-        return cls(segments, manifest, sidecar)
-
-
-def _finalize_segments(names: List[str], sidecar: Optional[str]) -> None:
-    """weakref.finalize target: last-resort unlink for a plane that was
-    never closed (runs at GC or interpreter shutdown)."""
-    for name in names:
-        _unlink_segment(name)
-    if sidecar:
-        try:
-            os.unlink(sidecar)
-        except OSError:
-            pass
+    pass

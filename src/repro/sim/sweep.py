@@ -76,20 +76,12 @@ class Sweep:
                  validate: str = "off",
                  obs: str = "off",
                  engine: str = "fast",
-                 store: Optional[str] = None,
-                 batch: Optional[int] = None,
-                 shm: Optional[bool] = None):
+                 store: Optional[str] = None):
         self.program = program
         self.base_config = base_config or \
             MachineConfig.scaled_default().with_(
                 interleaving="cache_line")
         self.workers = workers
-        #: Work-stealing batch-size override and shared-artifact-plane
-        #: switch, forwarded to the executor only when set (``None``
-        #: keeps the executor defaults *and* keeps minimal-signature
-        #: test doubles working).
-        self.batch = batch
-        self.shm = shm
         self.fault_plan = fault_plan
         self.seed = seed
         self.validate = validate
@@ -136,13 +128,9 @@ class Sweep:
             if key not in self._cache and key not in claimed:
                 claimed.add(key)
                 pending.append((key, settings))
-        # Optional knobs are only forwarded when set, so test doubles
-        # that stand in for execute_points keep their minimal signature.
+        # ``progress`` is only forwarded when set, so test doubles that
+        # stand in for execute_points keep their minimal signature.
         extra = {"progress": progress} if progress is not None else {}
-        if self.batch is not None:
-            extra["batch"] = self.batch
-        if self.shm is not None:
-            extra["shm"] = self.shm
         outcomes = execute_points([self._task(s) for _, s in pending],
                                   workers=self.workers, **extra)
         for (key, _), outcome in zip(pending, outcomes):

@@ -1,17 +1,14 @@
 """Chaos harness: real injected faults, end-to-end recovery.
 
 Every scenario injects an actual failure -- a SIGKILLed pool worker, a
-truncated or bit-flipped store record, a bit-flipped shared-memory
-artifact segment, a disk that reports ENOSPC, a wedged worker -- and
-asserts the same outcome: the sweep completes and its CSV is
-bit-identical to an undisturbed run, with the recovery visible in
-counters (supervision stats, store quarantine counts, shm corrupt
-counts) rather than in the results -- and with zero shared-memory
-segments left behind.
+truncated or bit-flipped store record, a disk that reports ENOSPC, a
+wedged worker -- and asserts the same outcome: the sweep completes and
+its CSV is bit-identical to an undisturbed run, with the recovery
+visible in counters (supervision and steal stats, store quarantine
+counts) rather than in the results.
 """
 
 import errno
-import glob
 import os
 import time
 import warnings
@@ -26,15 +23,9 @@ from repro.sim.executor import (PointTask, SupervisionPolicy,
                                 execute_points, reset_steal_stats,
                                 reset_supervision_stats, run_point,
                                 steal_stats, supervision_stats)
-from repro.sim.shm import (ArtifactPlane, attach_segment,
-                           reset_shm_stats, shm_stats)
 from repro.store import StoreDegradedWarning, reset_instances, resolve
 from repro.store import disk as disk_mod
 from repro.workloads import build_workload
-
-
-def _leaked_segments():
-    return glob.glob("/dev/shm/repro_shm_*")
 
 SCALE = 0.12
 AXES = dict(mapping=["M1", "M2"], num_mcs=[4, 8])
@@ -63,11 +54,8 @@ def _fresh(monkeypatch):
     reset_instances()
     reset_supervision_stats()
     reset_steal_stats()
-    reset_shm_stats()
     yield
     reset_instances()
-    # No scenario -- clean, killed, corrupted -- may leak a segment.
-    assert _leaked_segments() == []
 
 
 def _tasks(program, config, **kw):
@@ -100,6 +88,24 @@ class TestWorkerDeath:
         report = repro.sweep(program, config=config, workers=2, **AXES)
         assert report.to_csv() == reference_csv
         assert supervision_stats()["worker_restarts"] >= 1
+
+    def test_sigkill_mid_steal_requeues_bit_identically(
+            self, program, config, reference_csv, tmp_path,
+            monkeypatch):
+        """A worker SIGKILLed while holding stolen batches: the pool is
+        rebuilt, the steal queue re-enqueues the lost points, and the
+        CSV stays bit-identical."""
+        monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path))
+        (tmp_path / "kill-worker").write_text("die")
+        outcomes = execute_points(
+            _tasks(program, config, hardened=True), workers=2,
+            supervision=SupervisionPolicy(sleep=lambda s: None))
+        assert (tmp_path / "kill-worker.consumed").exists()
+        assert all(outcome.ok for outcome in outcomes)
+        from repro.sim.serialize import rows_to_csv
+        assert rows_to_csv([o.row for o in outcomes]) == reference_csv
+        assert supervision_stats()["worker_restarts"] >= 1
+        assert steal_stats()["requeued"] >= 1
 
     def test_exhausted_retry_budget_fails_loudly(self, program, config,
                                                  tmp_path, monkeypatch):
@@ -153,66 +159,6 @@ class TestHungWorker:
         stats = supervision_stats()
         assert stats["hangs_detected"] >= 1
         assert stats["points_reenqueued"] >= 1
-
-
-def _specs_for(program, config):
-    from repro.sim.executor import grid_settings, point_specs
-    specs = []
-    for settings in grid_settings(AXES):
-        base, opt = point_specs(program, config, settings)
-        specs.extend((base, opt))
-    return specs
-
-
-class TestSharedMemoryChaos:
-    def test_sigkill_mid_steal_leaves_no_segments(
-            self, program, config, reference_csv, tmp_path,
-            monkeypatch):
-        """A worker SIGKILLed while holding stolen batches: the pool is
-        rebuilt *while the artifact plane is live*, the re-enqueued
-        points attach to the same segments, the CSV stays bit-identical
-        -- and no segment survives (the autouse fixture re-checks)."""
-        monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path))
-        (tmp_path / "kill-worker").write_text("die")
-        outcomes = execute_points(
-            _tasks(program, config, hardened=True), workers=2,
-            supervision=SupervisionPolicy(sleep=lambda s: None))
-        assert (tmp_path / "kill-worker.consumed").exists()
-        assert all(outcome.ok for outcome in outcomes)
-        from repro.sim.serialize import rows_to_csv
-        assert rows_to_csv([o.row for o in outcomes]) == reference_csv
-        assert supervision_stats()["worker_restarts"] >= 1
-        assert steal_stats()["requeued"] >= 1
-        assert shm_stats()["published"] >= 1
-        assert _leaked_segments() == []
-
-    def test_bit_flipped_segment_recomputes_bit_identically(
-            self, program, config, reference_csv):
-        """Flip bits inside a published artifact segment: attaching
-        workers must detect the checksum mismatch, skip the entry, and
-        recompute locally -- same CSV, corruption visible in the
-        counters, nothing leaked."""
-        plane = ArtifactPlane.publish(_specs_for(program, config))
-        assert plane is not None and len(plane) >= 1
-        from repro.sim import memo
-        memo.cache.clear()  # parent must not mask worker-side reads
-        victim = plane.manifest().entries[0]
-        seg = attach_segment(victim.segment)
-        try:
-            seg.buf[victim.size // 2] ^= 0xFF
-            seg.buf[max(0, victim.size - 3)] ^= 0x01
-        finally:
-            seg.close()
-        outcomes = execute_points(
-            _tasks(program, config, hardened=True), workers=2,
-            plane=plane)
-        plane.close()
-        assert all(outcome.ok for outcome in outcomes)
-        from repro.sim.serialize import rows_to_csv
-        assert rows_to_csv([o.row for o in outcomes]) == reference_csv
-        # both workers saw the damaged entry and fell back
-        assert shm_stats()["corrupt"] >= 1
-        assert _leaked_segments() == []
 
 
 class TestStoreRecordDamage:

@@ -1,14 +1,19 @@
 """The parallel sweep engine: process-pool execution must be
 bit-identical to serial, under healthy and faulted fabrics alike."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 import repro.sim.executor as executor_mod
 from repro import MachineConfig
 from repro.faults import FaultPlan, LinkFault, MCFault
+from repro.sim import memo
 from repro.sim.executor import (PointTask, default_batch_size,
-                                default_workers, execute_points,
+                                default_workers, execute_runs,
                                 grid_settings, point_specs, run_point)
+from repro.sim.metrics import RunMetrics
 from repro.sim.harness import HardenedSweep
 from repro.sim.run import RunSpec
 from repro.sim.serialize import point_key, rows_to_csv
@@ -67,7 +72,7 @@ class TestParallelSweep:
         points = sweep.run(**AXES)
         assert len(sweep._cache) == len(points) == 4
 
-        def no_more_execution(tasks, workers=1, chunksize=None):
+        def no_more_execution(tasks, workers=1):
             assert not list(tasks), "cached sweep re-simulated points"
             return []
 
@@ -96,6 +101,41 @@ class TestParallelSweep:
         monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", boom)
         points = Sweep(program, config, workers=8).run(mapping=["M1"])
         assert len(points) == 1
+
+    def test_pool_is_fork_started(self, program, config, monkeypatch):
+        """Workers get the warm memo and any patched ``run_point`` only
+        by fork inheritance, so the pool must not take the platform's
+        default start method."""
+        contexts = []
+        real_pool = executor_mod.ProcessPoolExecutor
+
+        def recording_pool(*args, **kwargs):
+            contexts.append(kwargs.get("mp_context"))
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor",
+                            recording_pool)
+        Sweep(program, config, workers=2).run(mapping=["M1", "M2"])
+        assert [c.get_start_method() for c in contexts] == ["fork"]
+
+
+class TestExecuteRuns:
+    def test_parallel_metrics_identical_to_serial(self, program, config):
+        specs = []
+        for settings in grid_settings(AXES):
+            specs.extend(point_specs(program, config, settings))
+        serial = execute_runs(specs, workers=1)
+        memo.cache.clear()  # workers must recompute, not inherit
+        parallel = execute_runs(specs, workers=2)
+        assert len(parallel) == len(serial) == len(specs)
+        for spec, a, b in zip(specs, serial, parallel):
+            for f in dataclasses.fields(RunMetrics):
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                if isinstance(x, np.ndarray):
+                    assert x.dtype == y.dtype, (spec.key(), f.name)
+                    assert np.array_equal(x, y), (spec.key(), f.name)
+                else:
+                    assert x == y, (spec.key(), f.name)
 
 
 class TestHardenedParallel:
@@ -184,19 +224,6 @@ class TestExecutorPrimitives:
         # large grids batch, bounded so the tail stays balanced
         assert default_batch_size(100, 4) == 3
         assert default_batch_size(10_000, 4) == 8
-
-    def test_chunksize_is_deprecated_noop(self, program, config):
-        executor_mod._CHUNKSIZE_WARNED = False
-        task = PointTask(program=program, base_config=config,
-                         settings=(("mapping", "M1"),))
-        with pytest.warns(DeprecationWarning, match="chunksize"):
-            outcomes = execute_points([task], workers=1, chunksize=7)
-        assert outcomes[0].ok
-        # the warning fires once per process, not once per sweep
-        import warnings as warnings_mod
-        with warnings_mod.catch_warnings():
-            warnings_mod.simplefilter("error")
-            execute_points([task], workers=1, chunksize=7)
 
     def test_default_workers_positive(self):
         assert default_workers() >= 1

@@ -26,6 +26,7 @@ import urllib.request
 
 import pytest
 
+from repro.api.requests import SweepRequest
 from repro.serve import ExperimentServer
 from repro.store.base import reset_instances
 
@@ -115,6 +116,24 @@ def fresh_stores():
     reset_instances()
     yield
     reset_instances()
+
+
+@pytest.fixture
+def held_sweeps(monkeypatch):
+    """Every sweep job blocks on the returned event before it simulates,
+    so a sweep holds its job thread until the test sets the event --
+    however fast the simulator is.  The server runs in this process, so
+    patching the request class reaches its job threads."""
+    release = threading.Event()
+    real_execute = SweepRequest.execute
+
+    def held_execute(self, *args, **kwargs):
+        assert release.wait(120), "test never released the held sweep"
+        return real_execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(SweepRequest, "execute", held_execute)
+    yield release
+    release.set()  # a failed test must not leave job threads blocked
 
 
 def metric_value(metrics_text, name):
@@ -300,9 +319,9 @@ class TestDedupe:
 
 
 class TestBackpressure:
-    def test_queue_overflow_answers_429(self, tmp_path):
+    def test_queue_overflow_answers_429(self, held_sweeps):
         with LiveServer(job_threads=1, max_queued=1) as live:
-            # occupy the single job thread
+            # occupy the single job thread until the event is set
             status, running = live.request(
                 "/v1/sweep", dict(SWEEP_BODY, wait=False))
             assert status == 202
@@ -329,6 +348,7 @@ class TestBackpressure:
                 "/v1/sweep", dict(SWEEP_BODY, wait=False))
             assert status == 202
             assert doc["coalesced"] is True
+            held_sweeps.set()
             live.wait_for(running["id"],
                           lambda d: d["state"] == "done")
             live.wait_for(queued["id"],
@@ -340,9 +360,9 @@ class TestDeadlines:
     504 state, and admission control bounces requests whose estimated
     queue wait already exceeds their budget (429 + Retry-After)."""
 
-    def test_queued_job_expires_to_504(self):
+    def test_queued_job_expires_to_504(self, held_sweeps):
         with LiveServer(job_threads=1) as live:
-            # occupy the single job thread with a multi-second sweep
+            # occupy the single job thread until the event is set
             status, running = live.request(
                 "/v1/sweep", dict(SWEEP_BODY, wait=False))
             assert status == 202
@@ -350,8 +370,26 @@ class TestDeadlines:
                           lambda d: d["state"] != "queued")
             # the queue is empty (the sweep is *running*), so this run
             # is admitted -- and then expires waiting for the thread
-            status, doc = live.request(
-                "/v1/run", dict(RUN_BODY, deadline_ms=50, wait=True))
+            answer = {}
+            client = threading.Thread(target=lambda: answer.update(
+                reply=live.request(
+                    "/v1/run",
+                    dict(RUN_BODY, deadline_ms=50, wait=True))))
+            client.start()
+            queued = []
+            deadline = time.monotonic() + 60
+            while not queued and time.monotonic() < deadline:
+                queued = [job for job in live.server.jobs.jobs()
+                          if job.kind == "run"]
+                time.sleep(0.01)
+            assert queued, "the run was never queued"
+            # free the thread only once the run's deadline has passed
+            while time.time() < queued[0].deadline:
+                time.sleep(0.01)
+            held_sweeps.set()
+            client.join(300)
+            assert not client.is_alive(), "the run never answered"
+            status, doc = answer["reply"]
             assert status == 504
             assert doc["state"] == "expired"
             assert doc["error"]["kind"] == "deadline"
@@ -363,7 +401,8 @@ class TestDeadlines:
             status, metrics = live.request("/metrics")
         assert metric_value(metrics, "repro_serve_deadline_expired") == 1
 
-    def test_admission_control_rejects_429_with_retry_after(self):
+    def test_admission_control_rejects_429_with_retry_after(
+            self, held_sweeps):
         with LiveServer(job_threads=1) as live:
             status, running = live.request(
                 "/v1/sweep", dict(SWEEP_BODY, wait=False))
@@ -386,6 +425,7 @@ class TestDeadlines:
             assert "deadline_ms=1" in doc["error"]["message"]
             assert int(headers["Retry-After"]) >= 1
             status, metrics = live.request("/metrics")
+            held_sweeps.set()
         assert metric_value(metrics,
                             "repro_serve_deadline_rejected") == 1
 
