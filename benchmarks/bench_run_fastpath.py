@@ -14,6 +14,12 @@ numbers to ``BENCH_fastpath.json`` at the repo root.
   by default, and it additionally reuses transform/trace artifacts
   across grid points that share them.
 
+It also records, without a bound, the same single-run comparison for
+the two other machine shapes of the paper's evaluation: a shared SNUCA
+L2 (``shapes.shared_l2``, Figure 22) and two threads per core
+(``shapes.threads_2``, Figure 24), each with its medians, the
+interquartile range of each pool, and the provenance of the host.
+
 Both comparisons are median-of-repeats with a warmup run per engine,
 and the engines are interleaved (A, B, A, B, ...) so clock drift hits
 both pools equally.  The results are bit-identical across engines --
@@ -29,10 +35,14 @@ Usage::
 
 import json
 import os
+import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from repro import MachineConfig, RunSpec, run_simulation
 from repro.sim import memo
@@ -55,7 +65,41 @@ def _timed(fn):
     return time.perf_counter() - start, result
 
 
+#: The paper's other machine shapes, timed like the single run.
+SHAPES = {"shared_l2": {"shared_l2": True},
+          "threads_2": {"threads_per_core": 2}}
+
+
+def _git(*args):
+    try:
+        return subprocess.run(["git", *args], capture_output=True,
+                              text=True, cwd=OUT.parent,
+                              check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def _provenance():
+    """Where the numbers were measured (``git_dirty``: the tree had
+    uncommitted changes to tracked files)."""
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return {"git_sha": _git("rev-parse", "HEAD"),
+            "git_dirty": None if status is None else bool(status),
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__}
+
+
+def _iqr(pool):
+    if len(pool) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(pool, n=4)
+    return q3 - q1
+
+
 def bench_single_run(program, config):
+    """Median seconds of the reference and the fast engine, plus the
+    interquartile range of each pool."""
     def run(engine):
         spec = RunSpec(program=program, config=config, optimized=True,
                        engine=engine)
@@ -76,11 +120,16 @@ def bench_single_run(program, config):
             raise SystemExit(
                 f"engines diverged: exec_time {ref_exec} (reference) "
                 f"vs {fast_exec} (fast)")
-        ref = statistics.median(s for s, _ in pools["reference"])
-        fast = statistics.median(s for s, _ in pools["fast"])
+        ref = [s for s, _ in pools["reference"]]
+        fast = [s for s, _ in pools["fast"]]
     finally:
         memo.configure(enabled=True)
-    return ref, fast
+    return {"reference_seconds": round(statistics.median(ref), 4),
+            "reference_iqr_seconds": round(_iqr(ref), 4),
+            "fast_seconds": round(statistics.median(fast), 4),
+            "fast_iqr_seconds": round(_iqr(fast), 4),
+            "speedup": round(statistics.median(ref)
+                             / statistics.median(fast), 2)}
 
 
 def bench_sweep(program, config):
@@ -113,8 +162,10 @@ def bench_sweep(program, config):
 def main():
     config = MachineConfig.scaled_default().with_(
         interleaving="cache_line")
-    single_ref, single_fast = bench_single_run(
-        build_workload(APP, SCALE), config)
+    program = build_workload(APP, SCALE)
+    single = bench_single_run(program, config)
+    shapes = {name: bench_single_run(program, config.with_(**knobs))
+              for name, knobs in SHAPES.items()}
     sweep_ref, sweep_fast = bench_sweep(
         build_workload(APP, SWEEP_SCALE), config)
 
@@ -124,11 +175,9 @@ def main():
         "scale": SCALE,
         "sweep_scale": SWEEP_SCALE,
         "repeats": REPEATS,
-        "single_run": {
-            "reference_seconds": round(single_ref, 4),
-            "fast_seconds": round(single_fast, 4),
-            "speedup": round(single_ref / single_fast, 2),
-        },
+        "provenance": _provenance(),
+        "single_run": single,
+        "shapes": shapes,
         "sweep": {
             "axes": "mapping=M1,M2 x num_mcs=4,8",
             "reference_no_memo_seconds": round(sweep_ref, 4),

@@ -169,6 +169,16 @@ def _print_metrics(metrics, out) -> None:
           file=out)
 
 
+def _engine_label(result) -> str:
+    """The event loop that ran, with the reason when ``fast`` fell
+    back (``reference (fallback: model_writes)``)."""
+    if result.store_hit:
+        return "store replay"
+    if result.fallback_reason is not None:
+        return f"{result.engine_used} (fallback: {result.fallback_reason})"
+    return str(result.engine_used)
+
+
 # -- subcommands -------------------------------------------------------------
 
 def cmd_transform(args: argparse.Namespace, out) -> int:
@@ -230,6 +240,7 @@ def cmd_run(args: argparse.Namespace, out) -> int:
         "optimized" if args.optimized else "baseline")
     print(f"{program.name} ({kind}):", file=out)
     _print_metrics(result.metrics, out)
+    print(f"engine:             {_engine_label(result):>12}", file=out)
     if args.validate != "off":
         print(f"validation:         "
               f"{result.metrics.validation_checks:>12,} checks "
@@ -422,6 +433,7 @@ def cmd_profile(args: argparse.Namespace, out) -> int:
                    optimized=args.optimized, obs=args.obs)
     result = run_simulation(spec)
     from repro.obs import profile_table
+    print(f"engine: {_engine_label(result)}", file=out)
     print(profile_table(result.obs, top=args.top), file=out)
     return 0
 

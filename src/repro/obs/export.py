@@ -185,6 +185,11 @@ def process_registry() -> "TelemetryRegistry":
     * ``steal.*`` -- the work-stealing scheduler's counters
       (:func:`repro.sim.executor.steal_stats`: batches and tasks
       handed to workers, points re-enqueued after a loss).
+    * ``sim.engine.fallback.<reason>`` -- ``engine="fast"`` runs that
+      fell back to the reference loop, by reason
+      (:func:`repro.sim.system.engine_fallbacks`; every reason in
+      :data:`repro.sim.fastpath.FALLBACK_REASONS` is published, zeros
+      included).
     * ``harness.abandoned_threads`` (gauge) /
       ``harness.abandoned_threads_total`` (counter) -- worker threads
       the hardened harness abandoned on timeout
@@ -197,6 +202,8 @@ def process_registry() -> "TelemetryRegistry":
     """
     from repro.obs.telemetry import TelemetryRegistry
     from repro.sim.executor import steal_stats, supervision_stats
+    from repro.sim.fastpath import FALLBACK_REASONS
+    from repro.sim.system import engine_fallbacks
     from repro.sim.harness import abandoned_threads
     from repro.store import base as store_base
     from repro.store.remote import RemoteStats
@@ -225,6 +232,10 @@ def process_registry() -> "TelemetryRegistry":
         registry.counter(f"supervision.{name}").inc(value)
     for name, value in steal_stats().items():
         registry.counter(f"steal.{name}").inc(value)
+    fallbacks = engine_fallbacks()
+    for reason in FALLBACK_REASONS:
+        registry.counter(f"sim.engine.fallback.{reason}").inc(
+            fallbacks.get(reason, 0))
     strays = abandoned_threads()
     registry.gauge("harness.abandoned_threads").set(strays["live"])
     registry.counter("harness.abandoned_threads_total").inc(

@@ -780,7 +780,8 @@ def analytic_run(spec):
     if spec.obs == "off":
         metrics = analytic_metrics(spec)
         return RunResult(spec=spec, metrics=metrics,
-                         page_fallbacks=metrics.page_fallbacks)
+                         page_fallbacks=metrics.page_fallbacks,
+                         engine_used="analytic")
     obs = ObsData(level=spec.obs, label=spec.label(),
                   telemetry=(TelemetryRegistry()
                              if spec.obs == "full" else None))
@@ -802,4 +803,5 @@ def analytic_run(spec):
     if outer is not None:
         outer.absorb(obs.spans)
     return RunResult(spec=spec, metrics=metrics,
-                     page_fallbacks=metrics.page_fallbacks, obs=obs)
+                     page_fallbacks=metrics.page_fallbacks, obs=obs,
+                     engine_used="analytic")

@@ -128,8 +128,9 @@ class RunSpec:
     # ``validate``, an observation knob excluded from key().
     obs: str = "off"
     # Event-loop engine: "fast" (default) runs the hit-filtered loop of
-    # repro.sim.fastpath whenever the run is eligible (silently falling
-    # back to the reference loop otherwise), "reference" always runs
+    # repro.sim.fastpath whenever the run is eligible (falling back to
+    # the reference loop otherwise, as RunResult.engine_used and the
+    # sim.engine.fallback.<reason> counters record), "reference" always runs
     # the original per-access loop.  The two are bit-identical -- the
     # equivalence suite proves it -- so like ``validate``/``obs`` the
     # engine is excluded from key(): both engines share cache identity.
@@ -227,6 +228,12 @@ class RunResult:
     obs: Optional[ObsData] = None
     # True when the result store answered (a replay: no simulation ran).
     store_hit: bool = False
+    # The event loop that actually ran: "fast", "reference" (requested,
+    # or a fallback from "fast" -- then ``fallback_reason`` says why),
+    # "analytic", or None for a store replay.  Kept off RunMetrics: the
+    # engines are bit-identical, so this is not part of the result.
+    engine_used: Optional[str] = None
+    fallback_reason: Optional[str] = None
 
 
 def _make_policy(spec: RunSpec, mapping: L2ToMCMapping,
@@ -419,9 +426,10 @@ def _execute(spec: RunSpec, obs: Optional[ObsData]) -> RunResult:
         for window in windows:
             obs_instant("fault.activate", cat="fault", **window)
     overhead = config.transform_overhead if transformed else 0.0
-    with obs_span("sim.system", cat="sim", engine=spec.engine):
+    with obs_span("sim.system", cat="sim", requested=spec.engine) as span:
         metrics = simulator.run(streams, transform_overhead=overhead,
                                 name=spec.label(), engine=spec.engine)
+        span.add(engine=simulator.engine_used)
     metrics.page_fallbacks = getattr(policy, "fallbacks", 0)
     if obs is not None:
         obs.meta["mesh"] = (mapping.mesh.width, mapping.mesh.height)
@@ -446,7 +454,9 @@ def _execute(spec: RunSpec, obs: Optional[ObsData]) -> RunResult:
     return RunResult(spec=spec, metrics=metrics,
                      transformation=transformation,
                      page_fallbacks=metrics.page_fallbacks,
-                     audit=audit, obs=obs)
+                     audit=audit, obs=obs,
+                     engine_used=simulator.engine_used,
+                     fallback_reason=simulator.fallback_reason)
 
 
 def run_pair(program: Program, config: MachineConfig,

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import List, Optional, Sequence
+import threading
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -53,6 +54,26 @@ from repro.sim.metrics import RunMetrics
 
 # Cycles the directory / home-bank controller spends deciding.
 DIRECTORY_LATENCY = 2
+
+#: ``engine="fast"`` runs that fell back to the reference loop in this
+#: process, by reason (:data:`repro.sim.fastpath.FALLBACK_REASONS`).
+_FALLBACKS: Dict[str, int] = {}
+_FALLBACKS_LOCK = threading.Lock()
+
+
+def engine_fallbacks() -> Dict[str, int]:
+    """Process-wide fallback counts by reason (exported by
+    :func:`repro.obs.export.process_registry` as
+    ``sim.engine.fallback.<reason>``)."""
+    with _FALLBACKS_LOCK:
+        return dict(_FALLBACKS)
+
+
+def _note_fallback(reason: str, telemetry) -> None:
+    with _FALLBACKS_LOCK:
+        _FALLBACKS[reason] = _FALLBACKS.get(reason, 0) + 1
+    if telemetry is not None:
+        telemetry.counter(f"sim.engine.fallback.{reason}").inc()
 
 
 class ThreadStream:
@@ -162,6 +183,10 @@ class SystemSimulator:
         # publish into it inline; caches and aggregates flush at the
         # end of run().  None (obs off) keeps every hot path untouched.
         self.telemetry = telemetry
+        # Set by run(): the event loop that ran ("fast"/"reference")
+        # and, when engine="fast" fell back, why.
+        self.engine_used: Optional[str] = None
+        self.fallback_reason: Optional[str] = None
         if miss_overlap is None:
             miss_overlap = config.miss_overlap
         self.mesh = mapping.mesh
@@ -261,9 +286,11 @@ class SystemSimulator:
 
         ``engine`` selects the event loop: ``"fast"`` (default) uses the
         hit-filtered loop of :mod:`repro.sim.fastpath` when the run is
-        eligible -- bit-identical metrics, only L2 misses enter the
-        global heap -- and falls back to the reference loop otherwise;
-        ``"reference"`` always runs the original per-access loop.
+        eligible -- bit-identical metrics, only global events enter the
+        heap -- and falls back to the reference loop otherwise;
+        ``"reference"`` always runs the original per-access loop.  The
+        loop that actually ran is left in :attr:`engine_used`, and the
+        reason for a fallback in :attr:`fallback_reason`.
         """
         if engine not in ("fast", "reference"):
             raise ValueError(f"unknown engine {engine!r}; "
@@ -276,14 +303,24 @@ class SystemSimulator:
                                threads=len(streams))
         events_span.__enter__()
         use_fast = False
+        self.fallback_reason = None
         if engine == "fast":
             from repro.sim import fastpath
             use_fast = fastpath.eligible(self, streams)
+            if not use_fast:
+                self.fallback_reason = fastpath.fallback_reason(
+                    self, streams)
+                _note_fallback(self.fallback_reason, self.telemetry)
+        self.engine_used = "fast" if use_fast else "reference"
         if use_fast:
             finish_times = fastpath.run_events(self, streams, m)
         else:
             finish_times = self._run_reference(streams, m)
-        events_span.add(accesses=m.total_accesses).__exit__()
+        events_span.add(accesses=m.total_accesses,
+                        engine=self.engine_used)
+        if self.fallback_reason is not None:
+            events_span.add(fallback=self.fallback_reason)
+        events_span.__exit__()
 
         m.thread_finish = [f * (1.0 + transform_overhead)
                            for f in finish_times]

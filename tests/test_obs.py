@@ -231,6 +231,45 @@ class TestRunSpecObs:
         assert "sim.events" in names
         assert not names & {"sim.replay", "sim.misses"}
 
+    def test_spans_name_the_engine_that_ran(self, program, config):
+        # sim.system records the requested engine and the one that ran;
+        # sim.events records the one that ran (and why, on a fallback).
+        shared = config.with_(shared_l2=True)
+        result = run_simulation(_spec(program, shared, obs="spans"))
+        assert result.engine_used == "fast"
+        assert result.fallback_reason is None
+        by_name = {s.name: s for s in result.obs.spans}
+        assert by_name["sim.system"].args["requested"] == "fast"
+        assert by_name["sim.system"].args["engine"] == "fast"
+        assert by_name["sim.events"].args["engine"] == "fast"
+        assert "fallback" not in by_name["sim.events"].args
+
+    def test_fallback_is_labelled_and_counted(self, program, config):
+        from repro.obs.export import process_registry
+        from repro.sim.system import engine_fallbacks
+        name = "sim.engine.fallback.model_writes"
+        before = engine_fallbacks().get("model_writes", 0)
+        writes = config.with_(model_writes=True)
+        result = run_simulation(_spec(program, writes, obs="full"))
+        assert result.engine_used == "reference"
+        assert result.fallback_reason == "model_writes"
+        by_name = {s.name: s for s in result.obs.spans}
+        assert by_name["sim.system"].args["requested"] == "fast"
+        assert by_name["sim.system"].args["engine"] == "reference"
+        assert by_name["sim.events"].args["fallback"] == "model_writes"
+        assert result.obs.telemetry.get(name).value == 1
+        assert engine_fallbacks()["model_writes"] == before + 1
+        assert process_registry().get(name).value == before + 1
+        # a requested reference run is not a fallback
+        reference = run_simulation(_spec(program, writes,
+                                         engine="reference"))
+        assert reference.engine_used == "reference"
+        assert reference.fallback_reason is None
+        assert engine_fallbacks()["model_writes"] == before + 1
+        # the label stays off the result itself
+        assert not {"engine", "engine_used", "fallback_reason"} \
+            & set(vars(result.metrics))
+
     def test_full_level_results_bit_identical(self, program, config):
         plain = run_simulation(_spec(program, config))
         observed = run_simulation(_spec(program, config, obs="full"))
@@ -509,6 +548,13 @@ class TestCliObs:
         assert code == 0
         assert "span" in text and "share" in text
         assert "run" in text
+        assert text.splitlines()[0] == "engine: fast"
+
+    def test_run_summary_names_the_engine(self):
+        code, text = run_cli(["run", "--app", "swim", "--scale", "0.1",
+                              "--shared-l2"])
+        assert code == 0
+        assert text.splitlines()[-1].split() == ["engine:", "fast"]
 
     def test_demo_kernel_registry(self):
         assert "matmul" in DEMO_KERNELS
