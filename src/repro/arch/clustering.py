@@ -29,6 +29,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from repro.arch.assignment import linear_sum_assignment
 from repro.arch.topology import Mesh
 
 
@@ -200,25 +201,19 @@ def _match_clusters_to_mcs(mesh: Mesh, centroids: List[Tuple[float, float]],
                            ) -> List[Tuple[int, ...]]:
     """Assign each cluster ``k`` MCs minimizing total centroid distance.
 
-    Exact assignment via scipy's Hungarian algorithm on a cost matrix with
-    each MC replicated once (k = 1) -- for k > 1 each cluster row is
-    replicated k times.
+    Exact assignment (:func:`repro.arch.assignment.linear_sum_assignment`)
+    on a cost matrix with one column per MC and one row per cluster --
+    for k > 1 each cluster row is replicated k times.
     """
-    from scipy.optimize import linear_sum_assignment
-    import numpy as np
-
     num_clusters = len(centroids)
     slots = [ci for ci in range(num_clusters) for _ in range(k)]
-    cost = np.zeros((len(slots), len(mc_nodes)))
-    for row, ci in enumerate(slots):
-        cx, cy = centroids[ci]
-        for j, node in enumerate(mc_nodes):
-            mx, my = mesh.coords(node)
-            cost[row, j] = abs(cx - mx) + abs(cy - my)
+    mc_coords = [mesh.coords(node) for node in mc_nodes]
+    cost = [[abs(cx - mx) + abs(cy - my) for mx, my in mc_coords]
+            for cx, cy in (centroids[ci] for ci in slots)]
     rows, cols = linear_sum_assignment(cost)
     assigned: List[List[int]] = [[] for _ in range(num_clusters)]
     for row, col in zip(rows, cols):
-        assigned[slots[row]].append(int(col))
+        assigned[slots[row]].append(col)
     return [tuple(sorted(a)) for a in assigned]
 
 
@@ -271,9 +266,6 @@ def balanced_mapping(mesh: Mesh, mc_nodes: Sequence[int],
     slots), yielding the capacity-constrained Voronoi cells of the
     controllers -- diamonds for P2, bands for P3.
     """
-    from scipy.optimize import linear_sum_assignment
-    import numpy as np
-
     num_mcs = len(mc_nodes)
     num_nodes = mesh.num_nodes
     if num_nodes % num_mcs:
@@ -281,13 +273,15 @@ def balanced_mapping(mesh: Mesh, mc_nodes: Sequence[int],
             f"{num_nodes} cores cannot split evenly over {num_mcs} MCs")
     per_cluster = num_nodes // num_mcs
     slots = [mc for mc in range(num_mcs) for _ in range(per_cluster)]
-    cost = np.zeros((num_nodes, len(slots)))
+    mc_coords = [mesh.coords(node) for node in mc_nodes]
+    cost = []
     for node in range(num_nodes):
-        for col, mc in enumerate(slots):
-            cost[node, col] = mesh.distance(node, mc_nodes[mc])
+        x, y = mesh.coords(node)
+        to_mc = [abs(x - mx) + abs(y - my) for mx, my in mc_coords]
+        cost.append([to_mc[mc] for mc in slots])
     rows, cols = linear_sum_assignment(cost)
     members: List[List[int]] = [[] for _ in range(num_mcs)]
-    for node, col in zip(rows.tolist(), cols.tolist()):
+    for node, col in zip(rows, cols):
         members[slots[col]].append(node)
     clusters = [Cluster(tuple(sorted(m)), (mc,))
                 for mc, m in enumerate(members)]

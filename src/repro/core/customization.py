@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Set
 
+from repro.arch.assignment import linear_sum_assignment
 from repro.arch.clustering import L2ToMCMapping
 from repro.core import linalg
 from repro.core.layout import ClusteredLayout, SharedL2Layout
@@ -128,15 +129,9 @@ def assign_shared_slots(mapping: L2ToMCMapping, num_threads: int,
         cost = [[mesh.distance(core, slot)
                  if (slot % num_mcs) in allowed_of[core] else big
                  for slot in free] for core in stuck]
-        try:
-            from scipy.optimize import linear_sum_assignment
-            import numpy as np
-            rows, cols = linear_sum_assignment(np.asarray(cost))
-            pairs = list(zip(rows.tolist(), cols.tolist()))
-        except ImportError:  # pragma: no cover - scipy is a dependency
-            pairs = [(i, i) for i in range(len(stuck))]
+        rows, cols = linear_sum_assignment(cost)
         assigned_cols: Set[int] = set()
-        for i, j in pairs:
+        for i, j in zip(rows, cols):
             if cost[i][j] >= big:
                 j = min((c for c in range(len(free))
                          if c not in assigned_cols),

@@ -152,37 +152,6 @@ class Network:
             self._ts_traffic.record(depart, hops * flits)
         return t, hops
 
-    def warm_routes(self, pairs=None) -> int:
-        """Populate the route memo ahead of the event loop.
-
-        ``pairs`` is an iterable of ``(src, dst)`` node pairs; ``None``
-        warms every ordered pair in the mesh.  Returns the number of
-        routes now cached.  A no-op when a fault model is attached
-        (routes are time-dependent and uncacheable).  Warming is never
-        required for correctness -- :meth:`route` fills the memo lazily
-        -- but lets callers that know their traffic matrix (e.g. the
-        fast engine's node->MC pairs) pay the route construction cost
-        outside the timed region.
-        """
-        if self.faults is not None:
-            return 0
-        routes = self._routes
-        mesh_route = self.mesh.route
-        if pairs is None:
-            n = self.mesh.num_nodes
-            pairs = ((s, d) for s in range(n) for d in range(n) if s != d)
-        for key in pairs:
-            if key not in routes:
-                routes[key] = mesh_route(*key)
-        return len(routes)
-
-    def route_table(self) -> Dict[Tuple[int, int], Tuple[int, ...]]:
-        """A snapshot of the memoized fault-free routes, as immutable
-        tuples keyed by ``(src, dst)``.  Analysis-facing: the internal
-        memo stays lists of link ids because the send loop iterates
-        them directly."""
-        return {key: tuple(links) for key, links in self._routes.items()}
-
     def link_occupancy(self, vnet: Optional[int] = None) -> "np.ndarray":
         """Busy-until times per directed link as a float64 array.
 
