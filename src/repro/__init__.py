@@ -22,55 +22,64 @@ Quick start (the :mod:`repro.api` facade)::
                          mapping=["M1", "M2"], num_mcs=[4, 8])
 """
 
-from repro.arch.clustering import (Cluster, L2ToMCMapping, grid_mapping,
-                                   mapping_m1, mapping_m2,
-                                   partial_grid_mapping)
-from repro.arch.config import (CACHE_LINE_INTERLEAVING, MachineConfig,
-                               PAGE_INTERLEAVING)
-from repro.arch.topology import Mesh
-from repro.core.pipeline import (ArrayPlan, LayoutTransformer,
-                                 TransformationResult, original_layouts)
-from repro.errors import (FrontendError, LayoutError, ReproError,
-                          RequestError, SimulationError,
-                          SimulationTimeout, SolverError, StoreError,
-                          ValidationError)
-from repro.faults import (BankFault, FaultPlan, LinkDegradation, LinkFault,
-                          MCFault, PagePressure)
-from repro.program.ir import (AffineRef, ArrayDecl, IndexedRef, LoopNest,
-                              Program, identity_ref, shifted_ref)
-from repro.sim.metrics import Comparison, RunMetrics
-from repro.sim.multiprogram import WeightedSpeedupResult, run_multiprogram
-from repro.frontend.lower import compile_kernel
-from repro.sim.harness import (HardenedSweep, HarnessConfig, RunOutcome,
-                               SweepReport, run_hardened)
-from repro.sim.run import (RunResult, RunSpec, run_optimal_pair, run_pair,
-                           run_simulation)
-from repro.sim.sweep import Sweep
-from repro.api import (CompareRequest, Experiment, Result, RunRequest,
-                       SearchRequest, SweepRequest, SweepResult,
-                       compare, run, search, sweep)
-from repro import api
-from repro import validate
+import sys
+import types
+
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AffineRef", "ArrayDecl", "ArrayPlan", "BankFault",
-    "CACHE_LINE_INTERLEAVING", "Cluster", "Comparison",
-    "CompareRequest", "Experiment", "FaultPlan", "FrontendError",
-    "HardenedSweep", "HarnessConfig", "IndexedRef", "L2ToMCMapping",
-    "LayoutError", "LayoutTransformer", "LinkDegradation", "LinkFault",
-    "LoopNest", "MCFault", "MachineConfig", "Mesh", "PAGE_INTERLEAVING",
-    "PagePressure", "Program", "ReproError", "RequestError", "Result",
-    "RunMetrics", "RunOutcome", "RunRequest", "RunResult", "RunSpec",
-    "SearchRequest",
-    "SimulationError", "SimulationTimeout", "SolverError", "StoreError",
-    "Sweep", "SweepReport", "SweepRequest", "SweepResult",
-    "TransformationResult", "ValidationError", "WeightedSpeedupResult",
-    "api",
-    "compare", "compile_kernel", "grid_mapping",
-    "identity_ref", "mapping_m1", "mapping_m2", "original_layouts",
-    "partial_grid_mapping", "run", "run_hardened", "run_multiprogram",
-    "run_optimal_pair", "run_pair", "run_simulation", "search",
-    "shifted_ref", "sweep", "validate",
-]
+# Public name -> defining module.  Nothing below is imported until it is
+# first touched, so ``import repro`` followed by one run loads only the
+# layers that run needs (see docs/performance.md, "Cold start").
+_EXPORTS = {
+    "repro.api": ("CompareRequest", "Experiment", "Result", "RunRequest",
+                  "SearchRequest", "SweepRequest", "SweepResult", "api",
+                  "compare", "run", "search", "sweep"),
+    "repro.arch.clustering": ("Cluster", "L2ToMCMapping", "grid_mapping",
+                              "mapping_m1", "mapping_m2",
+                              "partial_grid_mapping"),
+    "repro.arch.config": ("CACHE_LINE_INTERLEAVING", "MachineConfig",
+                          "PAGE_INTERLEAVING"),
+    "repro.arch.topology": ("Mesh",),
+    "repro.core.pipeline": ("ArrayPlan", "LayoutTransformer",
+                            "TransformationResult", "original_layouts"),
+    "repro.errors": ("FrontendError", "LayoutError", "ReproError",
+                     "RequestError", "SimulationError",
+                     "SimulationTimeout", "SolverError", "StoreError",
+                     "ValidationError"),
+    "repro.faults.plan": ("BankFault", "FaultPlan", "LinkDegradation",
+                          "LinkFault", "MCFault", "PagePressure"),
+    "repro.frontend.lower": ("compile_kernel",),
+    "repro.program.ir": ("AffineRef", "ArrayDecl", "IndexedRef",
+                         "LoopNest", "Program", "identity_ref",
+                         "shifted_ref"),
+    "repro.sim.harness": ("HardenedSweep", "HarnessConfig", "RunOutcome",
+                          "SweepReport", "run_hardened"),
+    "repro.sim.metrics": ("Comparison", "RunMetrics"),
+    "repro.sim.multiprogram": ("WeightedSpeedupResult",
+                               "run_multiprogram"),
+    "repro.sim.run": ("RunResult", "RunSpec", "run_optimal_pair",
+                      "run_pair", "run_simulation"),
+    "repro.sim.sweep": ("Sweep",),
+    "repro.validate": ("validate",),
+}
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+
+class _Package(types.ModuleType):
+    """``repro.search`` is the :func:`repro.api.search` function.  The
+    import system binds every newly loaded subpackage onto its parent,
+    so loading the ``repro.search`` subpackage would otherwise replace
+    the function with the package; the binding is dropped instead (the
+    package stays reachable through ``sys.modules`` and ``from
+    repro.search import ...``)."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name == "search" and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

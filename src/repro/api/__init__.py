@@ -49,7 +49,7 @@ serial run.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.api.requests import (CompareRequest, RunRequest,
                                 SearchRequest, SweepRequest,
@@ -58,9 +58,11 @@ from repro.arch.clustering import L2ToMCMapping
 from repro.arch.config import MachineConfig
 from repro.faults.plan import FaultPlan
 from repro.program.ir import Program
-from repro.sim.harness import HarnessConfig, SweepReport
 from repro.sim.metrics import Comparison
 from repro.sim.run import RunResult, RunSpec, run_simulation
+
+if TYPE_CHECKING:
+    from repro.sim.harness import HarnessConfig, SweepReport
 
 __all__ = ["CompareRequest", "Experiment", "Result", "RunRequest",
            "SearchRequest", "SweepRequest", "SweepResult", "compare",
@@ -69,7 +71,16 @@ __all__ = ["CompareRequest", "Experiment", "Result", "RunRequest",
 #: The documented names for the spec/result pair.
 Experiment = RunSpec
 Result = RunResult
-SweepResult = SweepReport
+
+
+def __getattr__(name: str):
+    # ``SweepResult`` (= :class:`repro.sim.harness.SweepReport`) resolves
+    # on first use: importing the facade must not load the sweep harness.
+    if name == "SweepResult":
+        from repro.sim.harness import SweepReport
+        globals()[name] = SweepReport
+        return SweepReport
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _default_config() -> MachineConfig:

@@ -36,27 +36,27 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import (Callable, ClassVar, Dict, List, Mapping, Optional,
-                    Tuple, Type, Union)
+from typing import (TYPE_CHECKING, Callable, ClassVar, Dict, List,
+                    Mapping, Optional, Tuple, Type, Union)
 
-from repro.arch.clustering import L2ToMCMapping
+from repro.arch.clustering import (L2ToMCMapping, MAPPING_PRESETS,
+                                   resolve_mapping)
 from repro.arch.config import MachineConfig
 from repro.errors import RequestError
 from repro.faults.plan import FaultPlan
 from repro.obs.data import OBS_LEVELS
 from repro.program.ir import Program
-from repro.search import (INTERLEAVINGS, PLACEMENT_POOLS,
-                          SEARCH_MODES)
-from repro.sim.executor import (MAPPING_PRESETS, grid_settings,
-                                point_specs, resolve_mapping,
-                                validate_axes)
-from repro.sim.harness import HardenedSweep, HarnessConfig, SweepReport
 from repro.sim.metrics import Comparison
 from repro.sim.run import (ENGINES, PAGE_POLICIES, RunResult, RunSpec,
                            run_simulation)
-from repro.sim.serialize import point_key
-from repro.sim.sweep import Sweep
-from repro.validate import VALIDATE_LEVELS
+from repro.validate.registry import VALIDATE_LEVELS
+
+if TYPE_CHECKING:
+    from repro.sim.harness import HarnessConfig, SweepReport
+
+# The sweep engines (executor, harness, sweep) and the search subsystem
+# are imported inside the sweep/search methods: building or validating
+# a RunRequest must not load the process pool.
 
 __all__ = ["CompareRequest", "REQUEST_KINDS", "RunRequest",
            "SCHEMA_VERSION", "SearchRequest", "SweepRequest",
@@ -446,6 +446,7 @@ class SweepRequest(_Request):
                 isinstance(self.workers, bool) or self.workers < 1:
             raise RequestError(f"workers must be an integer >= 1, got "
                                f"{self.workers!r}")
+        from repro.sim.executor import validate_axes
         try:
             validate_axes(self.axes)
         except ValueError as err:
@@ -479,6 +480,7 @@ class SweepRequest(_Request):
     def grid(self) -> List[Dict[str, object]]:
         """The grid points, in the canonical (sorted-axis, row-major)
         order every sweep uses."""
+        from repro.sim.executor import grid_settings
         return grid_settings(self.axes)
 
     def _resolve(self):
@@ -491,6 +493,8 @@ class SweepRequest(_Request):
 
     def point_keys(self) -> List[str]:
         """The canonical per-point memo/checkpoint keys, grid order."""
+        from repro.sim.executor import point_specs
+        from repro.sim.serialize import point_key
         program, config, plan = self._resolve()
         keys = []
         for settings in self.grid():
@@ -519,6 +523,8 @@ class SweepRequest(_Request):
                 max_points: Optional[int] = None) -> SweepReport:
         """Run the sweep.  ``checkpoint``/``harness``/``max_points``
         imply the hardened engine, exactly as the facade documents."""
+        from repro.sim.harness import HardenedSweep, SweepReport
+        from repro.sim.sweep import Sweep
         program, config, plan = self._resolve()
         hardened = (self.hardened or checkpoint is not None
                     or harness is not None or max_points is not None)
@@ -630,12 +636,18 @@ class CompareRequest(_Request):
         return base, opt
 
     def key(self) -> str:
+        from repro.sim.serialize import point_key
         return point_key(self.specs())
 
     def execute(self) -> Comparison:
         base, opt = self.specs()
         return Comparison(run_simulation(base).metrics,
                           run_simulation(opt).metrics)
+
+
+def _all_interleavings() -> List[str]:
+    from repro.search import INTERLEAVINGS
+    return list(INTERLEAVINGS)
 
 
 @dataclass
@@ -661,8 +673,7 @@ class SearchRequest(_Request):
     mode: str = "auto"
     placements: Union[str, List[str]] = "named"
     mappings: Optional[List[str]] = None
-    interleavings: List[str] = field(
-        default_factory=lambda: list(INTERLEAVINGS))
+    interleavings: List[str] = field(default_factory=_all_interleavings)
     top_k: int = 4
     steps: int = 128
     seed: int = 0
@@ -692,6 +703,8 @@ class SearchRequest(_Request):
     }
 
     def __post_init__(self) -> None:
+        from repro.search import (INTERLEAVINGS, PLACEMENT_POOLS,
+                                  SEARCH_MODES)
         self._check_workload()
         self._check_deadline()
         _check_enum("search mode", self.mode, SEARCH_MODES)

@@ -17,6 +17,11 @@ Presets:
   clusters, each twice as large and served by two MCs (trades locality
   for memory-level parallelism).
 
+:func:`resolve_mapping` names the presets (:data:`MAPPING_PRESETS`) for
+a whole machine configuration and memoizes them per machine shape, so
+every run, sweep point and search candidate on one machine shares one
+mapping object (mappings are never mutated after construction).
+
 The mapping also fixes the *thread binding order*: thread ``t`` runs on
 ``core_order[t]``, cluster by cluster (footnote 5 of the paper -- threads
 are pinned so that the order of cores is consistent with the order of
@@ -25,12 +30,16 @@ memory controllers).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.arch.assignment import linear_sum_assignment
+from repro.arch.placement import place_mcs
 from repro.arch.topology import Mesh
+
+MAPPING_PRESETS = ("M1", "M2", "voronoi")
 
 
 @dataclass(frozen=True)
@@ -336,3 +345,44 @@ def partial_grid_mapping(mesh: Mesh, mc_nodes: Sequence[int],
         clusters.append(Cluster(_cluster_core_list(mesh, tx, ty, tw, th),
                                 (mc_index,)))
     return L2ToMCMapping(mesh, mc_nodes, clusters, name=name, partial=True)
+
+
+def resolve_mapping(config, name: str = "M1") -> L2ToMCMapping:
+    """Mapping presets by name for a
+    :class:`~repro.arch.config.MachineConfig`, handling non-corner
+    placements (shared by the sweeps, the CLI, the search and the
+    benches).
+
+    Raises ``ValueError`` for unknown preset names -- a typo like
+    ``m3`` must not silently run the M1 experiment.
+    """
+    if name not in MAPPING_PRESETS:
+        raise ValueError(
+            f"unknown mapping preset {name!r}; valid presets: "
+            f"{', '.join(MAPPING_PRESETS)}")
+    if name == "M1" and config.mc_placement != "P1":
+        # Grid clusters only fit corner controllers: M1 elsewhere is
+        # the balanced (voronoi) clustering.
+        name = "voronoi"
+    return machine_mapping(config.mesh_width, config.mesh_height,
+                           config.mc_placement, config.num_mcs, name)
+
+
+@functools.lru_cache(maxsize=256)
+def machine_mapping(width: int, height: int, placement: str,
+                    num_mcs: int, name: str) -> L2ToMCMapping:
+    """The ``name`` mapping -- ``"M1"``/``"M2"`` grid clusters or the
+    ``"voronoi"`` balanced clustering (named M1) -- on a ``width x
+    height`` mesh with ``num_mcs`` controllers at ``placement``, built
+    once per process and shared by every caller on that machine.
+
+    A 16x16 voronoi mapping solves a 256x256 assignment (~0.1 s), so
+    the reuse matters across runs, sweep points and search candidates.
+    """
+    mesh = Mesh(width, height)
+    nodes = place_mcs(mesh, placement, num_mcs)
+    if name == "M2":
+        return mapping_m2(mesh, nodes)
+    if name == "voronoi":
+        return balanced_mapping(mesh, nodes, name="M1")
+    return mapping_m1(mesh, nodes)

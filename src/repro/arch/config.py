@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
-from repro.arch.clustering import (L2ToMCMapping, mapping_m1)
+from repro.arch.clustering import L2ToMCMapping, machine_mapping
 from repro.arch.placement import place_mcs
 from repro.arch.topology import Mesh
 
@@ -149,9 +149,12 @@ class MachineConfig:
         return place_mcs(mesh, self.mc_placement, self.num_mcs)
 
     def default_mapping(self, mesh: Optional[Mesh] = None) -> L2ToMCMapping:
-        """The default L2-to-MC mapping (M1, Figure 8a)."""
-        mesh = mesh or self.mesh()
-        return mapping_m1(mesh, self.mc_nodes(mesh))
+        """The default L2-to-MC mapping (M1, Figure 8a), shared by every
+        caller on the same machine shape."""
+        width, height = ((mesh.width, mesh.height) if mesh is not None
+                         else (self.mesh_width, self.mesh_height))
+        return machine_mapping(width, height, self.mc_placement,
+                               self.num_mcs, "M1")
 
     def effective_overlap(self, mlp_demand: float) -> float:
         """Miss overlap for an application with the given MLP demand."""

@@ -70,20 +70,14 @@ import sys
 import time
 from typing import List, Optional
 
-from repro import MachineConfig
-from repro.analysis.tables import format_percent_table, improvement_summary
-from repro.api.requests import (CompareRequest, RunRequest, SweepRequest)
+from repro.arch.clustering import resolve_mapping
+from repro.arch.config import MachineConfig
 from repro.errors import ReproError, ValidationError, exit_code
-from repro.core.dependence import check_program
-from repro.core.pipeline import LayoutTransformer
-from repro.frontend import compile_kernel, emit_program
-from repro.program.address_space import AddressSpace
-from repro.program.trace import generate_traces
-from repro.program.tracefile import save_traces
-from repro.sim.executor import default_workers, resolve_mapping
-from repro.sim.run import RunSpec, run_simulation
-from repro.sim.sweep import Sweep
 from repro.workloads import SUITE_ORDER, build_workload
+
+# Everything else is imported by the subcommand that needs it, so
+# ``repro-cli run`` loads only the run path (see docs/performance.md,
+# "Cold start").
 
 METRIC_COLUMNS = ["onchip_net", "offchip_net", "offchip_mem", "exec_time"]
 
@@ -110,14 +104,10 @@ def _config(args: argparse.Namespace) -> MachineConfig:
         mesh_width=int(width), mesh_height=int(height or width))
 
 
-def _mapping(config: MachineConfig, name: str):
-    # One canonical preset resolver, shared with the sweep engine.
-    return resolve_mapping(config, name)
-
-
 def _load_program(args: argparse.Namespace):
     if getattr(args, "app", None):
         return build_workload(args.app, args.scale)
+    from repro.frontend import compile_kernel
     with open(args.kernel) as handle:
         source = handle.read()
     return compile_kernel(source, name=args.kernel.rsplit("/", 1)[-1]
@@ -142,6 +132,7 @@ def _resolve_program(args: argparse.Namespace):
     if token in WORKLOADS:
         return build_workload(token, args.scale)
     if os.path.exists(token):
+        from repro.frontend import compile_kernel
         with open(token) as handle:
             source = handle.read()
         return compile_kernel(source, name=token.rsplit("/", 1)[-1]
@@ -182,9 +173,12 @@ def _engine_label(result) -> str:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_transform(args: argparse.Namespace, out) -> int:
+    from repro.core.pipeline import LayoutTransformer
+    from repro.frontend import emit_program
     program = _load_program(args)
     config = _config(args)
-    transformer = LayoutTransformer(config, _mapping(config, args.mapping))
+    transformer = LayoutTransformer(config,
+                                    resolve_mapping(config, args.mapping))
     result = transformer.run(program)
     print(f"arrays optimized: {result.pct_arrays_optimized:.0%}, "
           f"references satisfied: {result.pct_refs_satisfied:.0%}",
@@ -201,6 +195,7 @@ def cmd_transform(args: argparse.Namespace, out) -> int:
 
 
 def cmd_legality(args: argparse.Namespace, out) -> int:
+    from repro.core.dependence import check_program
     program = _load_program(args)
     status = 0
     for report in check_program(program):
@@ -226,12 +221,13 @@ def _load_fault_plan(path: str):
 
 
 def cmd_run(args: argparse.Namespace, out) -> int:
+    from repro.api.requests import RunRequest
     program = _load_program(args)
     config = _config(args)
     plan = _load_fault_plan(args.fault_plan)
     request = RunRequest.from_objects(
         program=program, config=config,
-        mapping=_mapping(config, args.mapping),
+        mapping=resolve_mapping(config, args.mapping),
         optimized=args.optimized, optimal=args.optimal,
         fault_plan=plan, seed=args.seed, validate=args.validate,
         engine=args.engine, store=args.store or None)
@@ -255,11 +251,12 @@ def cmd_run(args: argparse.Namespace, out) -> int:
 
 
 def cmd_compare(args: argparse.Namespace, out) -> int:
+    from repro.api.requests import CompareRequest
     program = _load_program(args)
     config = _config(args)
     comparison = CompareRequest.from_objects(
         program=program, config=config,
-        mapping=_mapping(config, args.mapping)).execute()
+        mapping=resolve_mapping(config, args.mapping)).execute()
     print(f"{program.name}: baseline vs optimized", file=out)
     labels = {
         "onchip_net": "on-chip network latency",
@@ -274,8 +271,11 @@ def cmd_compare(args: argparse.Namespace, out) -> int:
 
 
 def cmd_suite(args: argparse.Namespace, out) -> int:
+    from repro.analysis.tables import (format_percent_table,
+                                       improvement_summary)
+    from repro.api.requests import CompareRequest
     config = _config(args)
-    mapping = _mapping(config, args.mapping)
+    mapping = resolve_mapping(config, args.mapping)
     rows = {}
     for app in SUITE_ORDER:
         program = build_workload(app, args.scale)
@@ -295,7 +295,8 @@ def _parse_axes(specs: List[str]) -> dict:
     one-line diagnostic that names the offending axis/value and lists
     the known axes (a typo must not abort a sweep mid-run with a
     traceback)."""
-    known = Sweep.CONFIG_AXES + ("mapping",)
+    from repro.sim.executor import CONFIG_AXES
+    known = CONFIG_AXES + ("mapping",)
     axes = {}
     for spec in specs:
         name, _, values = spec.partition("=")
@@ -326,6 +327,9 @@ def _parse_axes(specs: List[str]) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace, out) -> int:
+    from repro.api.requests import SweepRequest
+    from repro.sim.executor import (default_workers, grid_settings,
+                                    steal_stats)
     program = _load_program(args)
     workers = args.workers if args.workers is not None else \
         default_workers()
@@ -333,22 +337,21 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
         raise SystemExit(f"repro-cli sweep: --workers must be >= 1, "
                          f"got {workers}")
     axes = _parse_axes(args.axis)
-    progress = None
+    total = len(grid_settings(axes))
     state = {"done": 0, "failed": 0, "started": time.monotonic()}
-    if args.progress:
-        from repro.sim.executor import grid_settings, validate_axes
-        validate_axes(axes)
-        total = len(grid_settings(axes))
 
-        def progress(outcome):
-            state["done"] += 1
-            if not getattr(outcome, "ok", True):
-                state["failed"] += 1
+    def progress(outcome):
+        # Counts every freshly simulated point for the summary line;
+        # the per-wave lines are printed only under --progress.
+        state["done"] += 1
+        if not getattr(outcome, "ok", True):
+            state["failed"] += 1
+        if args.progress:
             wave = (state["done"] - 1) // max(workers, 1)
             print(f"[sweep] wave {wave}: {state['done']}/{total} "
                   f"points done, {state['failed']} failed",
                   file=sys.stderr)
-    from repro.sim.executor import steal_stats
+
     steal_before = steal_stats()
     try:
         request = SweepRequest.from_objects(
@@ -385,18 +388,22 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
 
 
 def cmd_trace(args: argparse.Namespace, out) -> int:
+    from repro.sim.run import RunSpec, run_simulation
     program = _resolve_program(args)
     config = _config(args)
-    mapping = _mapping(config, args.mapping)
+    mapping = resolve_mapping(config, args.mapping)
     if not args.out and not args.output:
         raise SystemExit("repro-cli trace: pass --out trace.json "
                          "(Chrome trace) and/or --output traces.npz")
     if args.output:
+        from repro.core.pipeline import LayoutTransformer, original_layouts
+        from repro.program.address_space import AddressSpace
+        from repro.program.trace import generate_traces
+        from repro.program.tracefile import save_traces
         if args.optimized:
             transformer = LayoutTransformer(config, mapping)
             layouts = transformer.run(program).layouts
         else:
-            from repro.core.pipeline import original_layouts
             layouts = original_layouts(program)
         bases = AddressSpace(config).place_all(layouts)
         threads = config.num_cores * config.threads_per_core
@@ -426,13 +433,14 @@ def cmd_trace(args: argparse.Namespace, out) -> int:
 
 
 def cmd_profile(args: argparse.Namespace, out) -> int:
+    from repro.obs import profile_table
+    from repro.sim.run import RunSpec, run_simulation
     program = _resolve_program(args)
     config = _config(args)
-    mapping = _mapping(config, args.mapping)
+    mapping = resolve_mapping(config, args.mapping)
     spec = RunSpec(program=program, config=config, mapping=mapping,
                    optimized=args.optimized, obs=args.obs)
     result = run_simulation(spec)
-    from repro.obs import profile_table
     print(f"engine: {_engine_label(result)}", file=out)
     print(profile_table(result.obs, top=args.top), file=out)
     return 0
@@ -443,7 +451,7 @@ def cmd_report(args: argparse.Namespace, out) -> int:
     config = _config(args)
     apps = args.apps.split(",") if args.apps else list(SUITE_ORDER)
     report = build_report(apps, config,
-                          mapping=_mapping(config, args.mapping),
+                          mapping=resolve_mapping(config, args.mapping),
                           scale=args.scale)
     text = report.to_markdown(
         title=f"Off-chip localization report ({config.interleaving})")

@@ -7,13 +7,20 @@ serializable :class:`FaultPlan` declares link failures, bandwidth
 degradation windows, controller offline/slowdown windows, dead DRAM
 banks and page-pool pressure; the runtime models translate it into the
 queries the NoC, controllers and OS model ask during simulation.
+
+A lazy facade (:mod:`repro._lazy`): the runtime models load only when a
+run carries a non-empty plan.
 """
 
-from repro.faults.models import ControllerFaultModel, NetworkFaultModel
-from repro.faults.plan import (BankFault, FaultPlan, LinkDegradation,
-                               LinkFault, MCFault, PagePressure)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BankFault", "ControllerFaultModel", "FaultPlan", "LinkDegradation",
     "LinkFault", "MCFault", "NetworkFaultModel", "PagePressure",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.faults.models": ("ControllerFaultModel", "NetworkFaultModel"),
+    "repro.faults.plan": ("BankFault", "FaultPlan", "LinkDegradation",
+                          "LinkFault", "MCFault", "PagePressure"),
+})

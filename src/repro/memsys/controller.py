@@ -31,10 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.arch.config import MachineConfig
-from repro.faults.models import ControllerFaultModel
+
+if TYPE_CHECKING:
+    from repro.faults.models import ControllerFaultModel
 
 
 @dataclass

@@ -24,11 +24,13 @@ metrics expose exactly how much a damaged fabric costs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.arch.config import MachineConfig
 from repro.arch.topology import Mesh
-from repro.faults.models import NetworkFaultModel
+
+if TYPE_CHECKING:
+    from repro.faults.models import NetworkFaultModel
 
 
 @dataclass

@@ -17,19 +17,12 @@ tracing), ``full`` (spans + hardware telemetry).  Like
 ``RunSpec.validate``, the level is an observation knob, not a
 simulation input: it is excluded from :meth:`RunSpec.key`, so observed
 and unobserved runs share cache identity.
+
+A lazy facade (:mod:`repro._lazy`): unobserved runs import only the
+tracer, never the telemetry registry or the exporters.
 """
 
-from repro.obs.data import OBS_LEVELS, ObsData
-from repro.obs.export import (chrome_trace, jsonl_events, link_heatmap,
-                              link_heatmap_csv, mc_timeline,
-                              mc_timeline_csv, process_obs,
-                              process_registry, profile_table,
-                              prometheus_text, write_chrome_trace)
-from repro.obs.telemetry import (Counter, Gauge, Histogram,
-                                 TelemetryRegistry, TimeSeries)
-from repro.obs.tracer import (SpanRecord, Tracer, activate,
-                              current_tracer, obs_instant, obs_span,
-                              traced)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "OBS_LEVELS", "ObsData",
@@ -40,3 +33,17 @@ __all__ = [
     "process_registry", "profile_table", "prometheus_text", "traced",
     "write_chrome_trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.data": ("OBS_LEVELS", "ObsData"),
+    "repro.obs.export": ("chrome_trace", "jsonl_events", "link_heatmap",
+                         "link_heatmap_csv", "mc_timeline",
+                         "mc_timeline_csv", "process_obs",
+                         "process_registry", "profile_table",
+                         "prometheus_text", "write_chrome_trace"),
+    "repro.obs.telemetry": ("Counter", "Gauge", "Histogram",
+                            "TelemetryRegistry", "TimeSeries"),
+    "repro.obs.tracer": ("SpanRecord", "Tracer", "activate",
+                         "current_tracer", "obs_instant", "obs_span",
+                         "traced"),
+})

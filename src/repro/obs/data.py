@@ -11,10 +11,12 @@ a sweep can be profiled as one trace with per-run lanes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
-from repro.obs.telemetry import TelemetryRegistry
 from repro.obs.tracer import SpanRecord
+
+if TYPE_CHECKING:
+    from repro.obs.telemetry import TelemetryRegistry
 
 #: Observability levels, in increasing coverage order: ``off`` costs
 #: nothing, ``spans`` traces wall-clock phases, ``full`` additionally
@@ -62,6 +64,7 @@ class ObsData:
                   label=label)
         registries = [p.telemetry for p in parts if p.telemetry]
         if registries:
+            from repro.obs.telemetry import TelemetryRegistry
             out.telemetry = TelemetryRegistry()
             for registry in registries:
                 out.telemetry.merge(registry)

@@ -35,10 +35,10 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.arch import placement as placements_mod
-from repro.arch.clustering import L2ToMCMapping
+from repro.arch.clustering import (L2ToMCMapping, MAPPING_PRESETS,
+                                   resolve_mapping)
 from repro.arch.config import MachineConfig
 from repro.arch.placement import CUSTOM_PREFIX, custom_placement
-from repro.sim.executor import MAPPING_PRESETS, resolve_mapping
 
 __all__ = ["Candidate", "CandidateSpace", "INTERLEAVINGS",
            "PLACEMENT_POOLS"]

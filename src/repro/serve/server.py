@@ -49,8 +49,7 @@ from repro.serve.wire import (DEFAULT_READ_TIMEOUT, HttpRequest,
                               WireError, error_response, json_response,
                               read_request, text_response)
 from repro.store import base as store_backends
-from repro.store.base import RESULT_KIND, ROW_KIND
-from repro.store.remote import payload_sha256
+from repro.store.base import RESULT_KIND, ROW_KIND, payload_sha256
 
 __all__ = ["ExperimentServer", "serve_forever"]
 

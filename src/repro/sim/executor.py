@@ -42,8 +42,10 @@ from dataclasses import dataclass, field
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple)
 
-from repro.arch.clustering import (balanced_mapping, grid_mapping,
-                                   mapping_m1, mapping_m2)
+# The mapping presets live beside the mapping builders; re-exported
+# here for the sweep front-ends.
+from repro.arch.clustering import (MAPPING_PRESETS,  # noqa: F401
+                                   resolve_mapping)
 from repro.arch.config import MachineConfig
 from repro.errors import WorkerLostError
 from repro.faults.plan import FaultPlan
@@ -59,32 +61,6 @@ from repro.store import base as store_backends
 CONFIG_AXES = ("interleaving", "shared_l2", "mc_placement",
                "num_mcs", "mesh_width", "mesh_height",
                "threads_per_core", "banks_per_mc", "model_writes")
-
-MAPPING_PRESETS = ("M1", "M2", "voronoi")
-
-
-def resolve_mapping(config: MachineConfig, name: str = "M1"):
-    """Mapping presets by name, handling non-corner placements and
-    non-default controller counts (shared by the sweeps, the CLI and
-    the benches).
-
-    Raises ``ValueError`` for unknown preset names -- a typo like
-    ``m3`` must not silently run the M1 experiment.
-    """
-    if name not in MAPPING_PRESETS:
-        raise ValueError(
-            f"unknown mapping preset {name!r}; valid presets: "
-            f"{', '.join(MAPPING_PRESETS)}")
-    mesh = config.mesh()
-    nodes = config.mc_nodes(mesh)
-    if name == "M2":
-        return mapping_m2(mesh, nodes)
-    if name == "voronoi" or config.mc_placement != "P1":
-        return balanced_mapping(mesh, nodes, name="M1")
-    if config.num_mcs != 4:
-        return grid_mapping(mesh, nodes, config.num_mcs, name="M1")
-    return mapping_m1(mesh, nodes)
-
 
 def validate_axes(axes: Mapping[str, Iterable]) -> None:
     """Reject unknown axis names with a diagnostic listing the known

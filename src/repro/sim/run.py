@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from repro.arch.config import CACHE_LINE_INTERLEAVING, MachineConfig
 from repro.core.pipeline import TransformationResult
 from repro.faults.plan import FaultPlan
 from repro.obs.data import OBS_LEVELS, ObsData
-from repro.obs.telemetry import TelemetryRegistry
 from repro.obs.tracer import Tracer, current_tracer, obs_instant, obs_span
 from repro.osmodel.allocation import (FirstTouchPolicy, IdentityPolicy,
                                       MCAwarePolicy, PhysicalMemory,
@@ -44,11 +43,16 @@ from repro.osmodel.page_table import PageTable, translate_traces
 from repro.program.ir import Program
 from repro.sim import memo
 from repro.sim.metrics import Comparison, RunMetrics
-from repro.store import base as store_backends
-from repro.store import records as store_records
 from repro.sim.system import SystemSimulator, build_streams
-from repro.validate import (NetworkAudit, RunAudit, VALIDATE_LEVELS,
-                            validate_run)
+from repro.validate.registry import VALIDATE_LEVELS
+
+if TYPE_CHECKING:
+    from repro.validate.audit import RunAudit
+
+# The optional layers load on first use, so a default run imports none
+# of them: the result store when ``spec.store`` is set, the telemetry
+# registry for ``obs="full"``, the audit and its checkers when
+# ``validate != "off"``.
 
 PAGE_POLICIES = ("auto", "default", "mc_aware", "first_touch")
 #: The two bit-identical event-loop engines; everything in
@@ -288,6 +292,8 @@ def _store_fetch(spec: RunSpec, store, obs: Optional[ObsData]
     """
     if store is None or spec.validate != "off":
         return None
+    from repro.store import base as store_backends
+    from repro.store import records as store_records
     before = store.stats.snapshot()
     with obs_span("store.get", cat="store", backend=store.description) \
             as span:
@@ -308,6 +314,8 @@ def _store_save(spec: RunSpec, store, result: RunResult,
     ladder inside the store absorbs environmental failure)."""
     if store is None:
         return
+    from repro.store import base as store_backends
+    from repro.store import records as store_records
     before = store.stats.snapshot()
     with obs_span("store.put", cat="store", backend=store.description):
         store_records.store_result(store, spec, result)
@@ -336,7 +344,10 @@ def run_simulation(spec: RunSpec) -> RunResult:
     if spec.engine == "analytic":
         from repro.search.analytic import analytic_run
         return analytic_run(spec)
-    store = store_backends.resolve(spec.store)
+    store = None
+    if spec.store:
+        from repro.store.base import resolve
+        store = resolve(spec.store)
     if spec.obs == "off":
         result = _store_fetch(spec, store, None)
         if result is not None:
@@ -344,9 +355,11 @@ def run_simulation(spec: RunSpec) -> RunResult:
         result = _execute(spec, None)
         _store_save(spec, store, result, None)
         return result
-    obs = ObsData(level=spec.obs, label=spec.label(),
-                  telemetry=(TelemetryRegistry()
-                             if spec.obs == "full" else None))
+    telemetry = None
+    if spec.obs == "full":
+        from repro.obs.telemetry import TelemetryRegistry
+        telemetry = TelemetryRegistry()
+    obs = ObsData(level=spec.obs, label=spec.label(), telemetry=telemetry)
     tracer = Tracer(label=spec.label())
     outer = current_tracer()
     with tracer.activate():
@@ -412,8 +425,10 @@ def _execute(spec: RunSpec, obs: Optional[ObsData]) -> RunResult:
                                 gaps,
                                 writes=[t.writes for t in traces],
                                 segments=[t.segments for t in traces])
-    network_audit = (NetworkAudit(mapping.mesh)
-                     if spec.validate == "strict" else None)
+    network_audit = None
+    if spec.validate == "strict":
+        from repro.validate import NetworkAudit
+        network_audit = NetworkAudit(mapping.mesh)
     simulator = SystemSimulator(
         config, mapping, optimal=spec.optimal,
         miss_overlap=config.effective_overlap(spec.program.mlp_demand),
@@ -440,6 +455,7 @@ def _execute(spec: RunSpec, obs: Optional[ObsData]) -> RunResult:
 
     audit: Optional[RunAudit] = None
     if spec.validate != "off":
+        from repro.validate import RunAudit, validate_run
         with obs_span("validate", cat="validate", level=spec.validate):
             audit = RunAudit(
                 spec=spec, config=config, mapping=mapping,

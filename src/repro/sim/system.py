@@ -35,7 +35,7 @@ from __future__ import annotations
 import heapq
 import math
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -44,13 +44,15 @@ from repro.arch.config import MachineConfig
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.directory import Directory
 from repro.errors import SimulationError
-from repro.faults.models import ControllerFaultModel, NetworkFaultModel
-from repro.faults.plan import FaultPlan
 from repro.memsys.address import AddressMap
 from repro.memsys.controller import MemoryController
 from repro.noc.network import Network
 from repro.obs.tracer import obs_span
 from repro.sim.metrics import RunMetrics
+
+if TYPE_CHECKING:
+    from repro.faults.models import ControllerFaultModel, NetworkFaultModel
+    from repro.faults.plan import FaultPlan
 
 # Cycles the directory / home-bank controller spends deciding.
 DIRECTORY_LATENCY = 2
@@ -196,6 +198,8 @@ class SystemSimulator:
         net_faults: Optional[NetworkFaultModel] = None
         self._mc_faults: Optional[ControllerFaultModel] = None
         if fault_plan is not None and not fault_plan.empty:
+            from repro.faults.models import (ControllerFaultModel,
+                                             NetworkFaultModel)
             if fault_plan.link_faults or fault_plan.link_degradations:
                 net_faults = NetworkFaultModel(self.mesh, fault_plan)
             if fault_plan.mc_faults or fault_plan.bank_faults:

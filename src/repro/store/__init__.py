@@ -7,20 +7,13 @@ single-record files with atomic commits, corruption quarantined into a
 miss (never a crash), and environmental failure (full disk, read-only
 path, wedged lock) degrading to the in-memory backend with one warning.
 See ``docs/robustness.md``.
+
+A lazy facade (:mod:`repro._lazy`): the network client
+(:mod:`repro.store.remote`, with ``http.client`` and ``ssl`` behind it)
+loads only when a remote name is used or a store URL is opened.
 """
 
-from repro.store.atomic import (atomic_write_bytes, atomic_write_json,
-                                fsync_dir)
-from repro.store.base import (RESULT_KIND, ROW_KIND, FallbackStore,
-                              MemoryStore, ResultStore,
-                              StoreDegradedWarning, StoreStats,
-                              open_store, publish_stats, reset_instances,
-                              resolve)
-from repro.store.disk import STORE_VERSION, DiskStore
-from repro.store.records import (RECORD_FORMAT, load_result,
-                                 metrics_from_doc, metrics_to_doc,
-                                 result_payload, store_result)
-from repro.store.remote import CircuitBreaker, RemoteStats, RemoteStore
+from repro._lazy import lazy_exports
 
 __all__ = [
     "RESULT_KIND", "ROW_KIND", "RECORD_FORMAT", "STORE_VERSION",
@@ -31,3 +24,18 @@ __all__ = [
     "metrics_to_doc", "open_store", "publish_stats", "reset_instances",
     "resolve", "result_payload", "store_result",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.store.atomic": ("atomic_write_bytes", "atomic_write_json",
+                           "fsync_dir"),
+    "repro.store.base": ("RESULT_KIND", "ROW_KIND", "FallbackStore",
+                         "MemoryStore", "ResultStore",
+                         "StoreDegradedWarning", "StoreStats",
+                         "open_store", "publish_stats", "reset_instances",
+                         "resolve"),
+    "repro.store.disk": ("STORE_VERSION", "DiskStore"),
+    "repro.store.records": ("RECORD_FORMAT", "load_result",
+                            "metrics_from_doc", "metrics_to_doc",
+                            "result_payload", "store_result"),
+    "repro.store.remote": ("CircuitBreaker", "RemoteStats", "RemoteStore"),
+})

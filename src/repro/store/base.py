@@ -25,6 +25,8 @@ state.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import threading
 import warnings
 from typing import Dict, Iterable, List, Optional
@@ -316,3 +318,16 @@ def publish_stats(telemetry, before: Dict[str, int],
         delta = value - before.get(name, 0)
         if delta:
             telemetry.counter(f"store.{name}").inc(delta)
+
+
+def canonical_payload(payload: dict) -> str:
+    """The one JSON rendering of a record payload both ends of the wire
+    agree on byte for byte."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def payload_sha256(payload: dict) -> str:
+    """The checksum both sides agree on: SHA-256 over the canonical
+    JSON rendering of the payload."""
+    return hashlib.sha256(canonical_payload(payload).encode("utf-8")) \
+        .hexdigest()

@@ -46,7 +46,6 @@ extra plumbing::
 
 from __future__ import annotations
 
-import hashlib
 import http.client
 import json
 import random
@@ -58,7 +57,8 @@ from urllib.parse import parse_qsl, urlsplit
 
 from repro.errors import StoreError
 from repro.obs.tracer import obs_instant
-from repro.store.base import RESULT_KIND, ResultStore, StoreStats
+from repro.store.base import (RESULT_KIND, ResultStore, StoreStats,
+                              canonical_payload, payload_sha256)
 
 __all__ = ["CircuitBreaker", "DEFAULT_TIMEOUT", "RemoteStats",
            "RemoteStore"]
@@ -167,17 +167,6 @@ class CircuitBreaker:
                 self._state = OPEN
                 self._opened_at = self._clock()
                 self._stats.inc("breaker_opened")
-
-
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def payload_sha256(payload: dict) -> str:
-    """The checksum both sides agree on: SHA-256 over the canonical
-    JSON rendering of the payload."""
-    return hashlib.sha256(_canonical(payload).encode("utf-8")) \
-        .hexdigest()
 
 
 class RemoteStore(ResultStore):
@@ -361,7 +350,7 @@ class RemoteStore(ResultStore):
 
     def put(self, key: str, payload: dict,
             kind: str = RESULT_KIND) -> bool:
-        body = _canonical(payload).encode("utf-8")
+        body = canonical_payload(payload).encode("utf-8")
         try:
             status, _ = self._op("put", "PUT", self._path(kind, key),
                                  body)

@@ -16,23 +16,14 @@ Runs opt in through ``RunSpec.validate`` (``"off"`` | ``"metrics"`` |
 behind ``repro-cli doctor``) and :mod:`repro.validate.fuzz` (frontend
 never-crash fuzz harness behind ``repro-cli fuzz``) are *not* imported
 here: doctor pulls in the simulator, which itself imports this package.
+
+A lazy facade (:mod:`repro._lazy`): nothing loads until a name is
+used, and the first use also imports :mod:`repro.validate.checkers`,
+whose decorators fill the registry.  Runs with ``validate="off"``
+therefore never load the checkers.
 """
 
-from repro.validate.audit import NetworkAudit, RunAudit
-from repro.validate.registry import (
-    CHECKERS,
-    LAYERS,
-    VALIDATE_LEVELS,
-    Checker,
-    ValidationReport,
-    Violation,
-    checkers_for,
-    register,
-    validate_run,
-)
-
-# Importing the checkers module populates the registry.
-import repro.validate.checkers  # noqa: E402,F401  (registration side-effect)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CHECKERS",
@@ -47,3 +38,18 @@ __all__ = [
     "register",
     "validate_run",
 ]
+
+_getattr, __dir__ = lazy_exports(__name__, {
+    "repro.validate.audit": ("NetworkAudit", "RunAudit"),
+    "repro.validate.registry": ("CHECKERS", "Checker", "LAYERS",
+                                "VALIDATE_LEVELS", "ValidationReport",
+                                "Violation", "checkers_for", "register",
+                                "validate_run"),
+})
+
+
+def __getattr__(name: str) -> object:
+    value = _getattr(name)
+    # Importing the checkers module populates the registry.
+    import repro.validate.checkers  # noqa: F401  (registration side-effect)
+    return value

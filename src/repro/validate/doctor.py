@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence
 
-from repro.validate.registry import CHECKERS, LAYERS, checkers_for
+from repro.validate import CHECKERS, LAYERS, checkers_for
 
 #: Placements and mapping presets the config check exercises.
 PLACEMENTS = ("P1", "P2", "P3")
@@ -101,7 +101,7 @@ def _check_install() -> str:
 
 def _check_configs() -> str:
     from repro.arch.config import MachineConfig
-    from repro.sim.executor import resolve_mapping
+    from repro.arch.clustering import resolve_mapping
 
     built = 0
     for factory in (MachineConfig.paper_default,

@@ -124,6 +124,16 @@ class TestSweepCommand:
         assert lines[0].startswith("mapping,")
         assert len(lines) == 3
 
+    def test_summary_counts_simulated_points(self, capsys):
+        # Without --progress the summary still counts every simulated
+        # point, and no per-wave lines are printed.
+        code, _ = run_cli(["sweep", "--app", "swim", "--scale", "0.2",
+                           "--axis", "mapping=M1,M2"])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "(2 simulated)" in err
+        assert "wave" not in err
+
     def test_bad_axis(self):
         with pytest.raises(SystemExit):
             run_cli(["sweep", "--app", "swim", "--axis", "mapping"])

@@ -141,3 +141,89 @@ class TestPartialGrid:
     def test_avg_distance(self, mesh, mc_nodes):
         mapping = partial_grid_mapping(mesh, mc_nodes, 0, 0, 4, 8, 2)
         assert mapping.avg_distance_to_mc() < 6
+
+
+class TestMappingMemo:
+    """Preset mappings are built once per machine shape and shared:
+    every run on that machine gets the same object, and nothing mutates
+    it."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        from repro.arch import clustering
+        clustering.machine_mapping.cache_clear()
+        counts = {"grid": 0, "balanced": 0}
+
+        def counted(kind, build):
+            def wrapper(*args, **kwargs):
+                counts[kind] += 1
+                return build(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(clustering, "grid_mapping",
+                            counted("grid", clustering.grid_mapping))
+        monkeypatch.setattr(clustering, "balanced_mapping",
+                            counted("balanced",
+                                    clustering.balanced_mapping))
+        yield counts
+        clustering.machine_mapping.cache_clear()
+
+    @staticmethod
+    def _token(mapping):
+        from repro.sim.run import _mapping_token
+        return (_mapping_token(mapping), list(mapping.core_order),
+                mapping.mesh.width, mapping.mesh.height)
+
+    def test_one_build_per_machine(self, builds):
+        import repro
+        from repro.arch.clustering import resolve_mapping
+        from repro.arch.config import MachineConfig
+        from repro.workloads import build_workload
+        program = build_workload("swim", 0.2)
+        config = MachineConfig.scaled_default().with_(
+            interleaving="cache_line")
+        for optimized in (True, True, False):
+            repro.run(program=program, config=config, optimized=optimized)
+        resolve_mapping(config, "M1")
+        assert builds == {"grid": 1, "balanced": 0}
+        resolve_mapping(config, "M2")
+        resolve_mapping(config.with_(num_mcs=8), "M1")
+        assert builds == {"grid": 3, "balanced": 0}
+        edge = config.with_(mc_placement="P2")
+        for name in ("M1", "voronoi", "M1"):
+            resolve_mapping(edge, name)
+        assert builds == {"grid": 3, "balanced": 1}
+
+    def test_runs_leave_the_shared_mapping_unchanged(self, builds):
+        import repro
+        from repro.arch.config import MachineConfig
+        from repro.workloads import build_workload
+        program = build_workload("swim", 0.2)
+        base = MachineConfig.scaled_default()
+        configs = [(base.with_(interleaving="cache_line"), "auto"),
+                   (base.with_(interleaving="page"), "auto"),
+                   (base.with_(interleaving="page"), "first_touch"),
+                   (base.with_(interleaving="cache_line",
+                               shared_l2=True), "auto")]
+        for config, policy in configs:
+            mapping = config.default_mapping()
+            before = self._token(mapping)
+            for optimized in (False, True):
+                repro.run(program=program, config=config,
+                          optimized=optimized,
+                          page_policy=policy if not optimized else "auto")
+            assert config.default_mapping() is mapping
+            assert self._token(mapping) == before
+
+    def test_run_key_matches_a_freshly_built_mapping(self, builds):
+        from repro.arch.config import MachineConfig
+        from repro.sim.run import RunSpec
+        from repro.workloads import build_workload
+        program = build_workload("swim", 0.2)
+        config = MachineConfig.scaled_default()
+        mesh = config.mesh()
+        fresh = mapping_m1(mesh, config.mc_nodes(mesh))
+        shared = RunSpec(program=program, config=config, optimized=True)
+        built = RunSpec(program=program, config=config, mapping=fresh,
+                        optimized=True)
+        assert shared.key() == built.key()
